@@ -328,6 +328,41 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	})
 }
 
+// --- SoA mirror kernels: host ns per element of Lib.EvalSlice at 1K
+// elements for the three specs of the serve-1k benchmark mix, inputs
+// uniform over each function's domain. The kernel floor under every
+// serving-layer number. ---
+
+func BenchmarkMirrorKernels(b *testing.B) {
+	const n = 1024
+	cases := []struct {
+		name string
+		fn   Function
+		spec Config
+	}{
+		{"sigmoid-llut-i", Sigmoid, Config{Method: LLUT, Interpolated: true, SizeLog2: 12}},
+		{"gelu-dllut-i", GELU, Config{Method: DLLUT, Interpolated: true, SizeLog2: 12}},
+		{"exp-llut-fixed-i", Exp, Config{Method: LLUTFixed, Interpolated: true, SizeLog2: 12}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			lib, err := New(c.spec, c.fn)
+			if err != nil {
+				b.Fatal(err)
+			}
+			lo, hi := c.fn.Domain()
+			xs := stats.RandomInputs(lo, hi, n, 1)
+			out := make([]float32, n)
+			lib.EvalSlice(c.fn, xs, out) // warm pass
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lib.EvalSlice(c.fn, xs, out)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n*b.N), "ns/elem")
+		})
+	}
+}
+
 // --- §4.2.4: per-function microbenchmarks through the public API ---
 
 func BenchmarkPublicAPI(b *testing.B) {

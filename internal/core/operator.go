@@ -659,7 +659,7 @@ func (o *Operator) buildFixedLUT(dpu *pimsim.DPU) error {
 			r, k := rangered.SplitExpHost(x)
 			return rangered.JoinExpHost(dev.MirrorFloat(r), k)
 		}, 0.7)
-		o.mirror.kernel = expSplitKernel(dev.MirrorFloatMany)
+		o.mirror.kernel = plainKernel(dev.MirrorExpMany)
 		return nil
 	case Log:
 		dev, bytes, err := o.fixedLUTFor(dpu, math.Log, lo, hi)

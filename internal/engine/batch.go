@@ -151,7 +151,7 @@ type batch struct {
 	// metered host↔PIM bytes across transfer-in, the phase syncs, and
 	// transfer-out (they reconcile exactly against the compiler's
 	// analytic byte model).
-	prog     *fusion.Compiled
+	prog      *fusion.Compiled
 	pIn, pOut int
 
 	// Reliability outcomes (fault injection only; see reliability.go).

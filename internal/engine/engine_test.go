@@ -336,8 +336,8 @@ func TestShardPlan(t *testing.T) {
 		{101, 4, 26, 416}, // padded to equal chunks → parallel transfer
 		{1, 8, 1, 32},     // n == 1: every bank still receives one padded element
 		{8, 8, 1, 32},
-		{3, 8, 1, 32},  // n < cores: padding fills the idle banks
-		{9, 8, 2, 64},  // n % cores != 0: one extra element per chunk
+		{3, 8, 1, 32}, // n < cores: padding fills the idle banks
+		{9, 8, 2, 64}, // n % cores != 0: one extra element per chunk
 		{63, 8, 8, 256},
 	}
 	for _, c := range cases {

@@ -40,21 +40,54 @@ var (
 )
 
 // FromFloat64 converts a float64 to Q3.28, rounding to nearest and
-// saturating at the representable range.
+// saturating at the representable range. NaN converts to Min on every
+// platform (Go leaves the NaN → int32 conversion implementation-
+// defined; Min is what amd64's CVTTSD2SL has always produced here).
 func FromFloat64(f float64) Q3_28 {
 	scaled := f * (1 << FracBits)
 	switch {
 	case scaled >= float64(math.MaxInt32):
 		return Max
-	case scaled <= float64(math.MinInt32):
+	case scaled <= float64(math.MinInt32), scaled != scaled:
 		return Min
 	}
 	return Q3_28(math.RoundToEven(scaled))
 }
 
-// FromFloat32 converts a float32 to Q3.28 with the same rounding and
-// saturation rules as FromFloat64.
-func FromFloat32(f float32) Q3_28 { return FromFloat64(float64(f)) }
+// The float32 conversions below are the per-element hot path of every
+// fixed-point kernel (Ctx.QFromF/QToF and the host mirrors), so they
+// avoid float64 rounding altogether. math.RoundToEven compiles to
+// ROUNDSD on amd64, which only partially writes its destination
+// register; in a loop that register still holds the previous
+// element's CVTSD2SS result, so every element waits out the full
+// latency of the one before it. Scaling by 2^28 and rounding in
+// float32 — and converting back through float32(int32) — keeps each
+// element independent. Both forms are bit-identical to the float64
+// ones (f·2^28 is exact in float32, and float32(int32(q))·2^-28 rounds
+// once, like float32(float64(q)/2^28)); the exhaustive tests in
+// convert_test.go are the proof, comparing them on all 2^32 inputs.
+
+// FromFloat32 converts a float32 to Q3.28 with the same rounding,
+// saturation and NaN rules as FromFloat64.
+func FromFloat32(f float32) Q3_28 {
+	s := f * (1 << FracBits) // exact: a power-of-two scale
+	if !(s > -(1<<31) && s < 1<<31) {
+		if s > 0 {
+			return Max
+		}
+		return Min // s ≤ -2^31, or NaN
+	}
+	// Round half to even. Below 2^23 in magnitude, adding ±2^23 moves
+	// s into the binade where the float32 spacing is exactly 1, so the
+	// add rounds to the nearest integer (ties to even) and the subtract
+	// is exact. At or above 2^23, s is already an integer and the magic
+	// is zeroed out: a select on bits, not a data-dependent branch.
+	b := math.Float32bits(s)
+	magic := b&(1<<31) | 0x4B000000 // ±2^23 with the sign of s
+	magic &^= uint32(int32(0x4AFFFFFF-b&0x7FFFFFFF) >> 31)
+	m := math.Float32frombits(magic)
+	return Q3_28(int32((s + m) - m))
+}
 
 // FromInt converts a small integer to Q3.28, saturating out-of-range
 // values.
@@ -72,8 +105,10 @@ func FromInt(i int) Q3_28 {
 // value is representable as a float64.
 func (q Q3_28) Float64() float64 { return float64(q) / (1 << FracBits) }
 
-// Float32 converts q to the nearest float32.
-func (q Q3_28) Float32() float32 { return float32(q.Float64()) }
+// Float32 converts q to the nearest float32: the int32 → float32
+// conversion rounds once and the 2^-28 scale is exact, so the result
+// equals float32(q.Float64()).
+func (q Q3_28) Float32() float32 { return float32(int32(q)) * (1.0 / (1 << FracBits)) }
 
 // Add returns q+r with wrap-around two's-complement semantics, exactly
 // as a 32-bit integer add instruction behaves on the PIM core.

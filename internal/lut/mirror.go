@@ -6,6 +6,7 @@ import (
 	"transpimlib/internal/fixed"
 	"transpimlib/internal/fpbits"
 	"transpimlib/internal/pimsim"
+	"transpimlib/internal/rangered"
 )
 
 // Mirror methods are the unmetered host-side twins of the device Eval
@@ -301,6 +302,124 @@ func (d *DevFixedLLUT) MirrorFloatMany(xs, ys []float32) {
 			l1 = entries[ci+1]
 		}
 		ys[i] = l0.Add(l1.Sub(l0).Mul(delta)).Float32()
+	}
+}
+
+// expFastLimit bounds MirrorExpMany's fast class: for |x·log2e| below
+// it, adding and subtracting expMagic (1.5·2^23) rounds x·log2e to the
+// nearest integer with ties to even — RoundToEven32's result — and
+// yields float32(k) directly.
+const (
+	expFastLimit = 1 << 22
+	expMagic     = 1.5 * (1 << 23)
+)
+
+// expReduce finishes SplitExpHost for t = x·log2e inside the fast
+// class: the magic-number round, then the two-step Cody–Waite
+// subtraction in the same float32 operation order.
+func expReduce(x, t float32) (r float32, k int32) {
+	kf := (t + expMagic) - expMagic
+	r = x - kf*rangered.Ln2Hi
+	r = r - kf*rangered.Ln2Lo
+	return r, int32(kf)
+}
+
+// ldexpNormal is fpbits.Ldexp(v, k) for its common case — a normal v
+// and a normal result — as one add on the exponent field; ok is false
+// otherwise, and the caller falls back to ldexpSlow.
+func ldexpNormal(v float32, k int32) (y float32, ok bool) {
+	b := fpbits.Bits(v)
+	e := int32(b>>fpbits.MantBits) & 0xFF
+	if uint32(e-1) < fpbits.ExpMax-1 && uint32(e+k-1) < fpbits.ExpMax-1 {
+		return fpbits.FromBits(b + uint32(k)<<fpbits.MantBits), true
+	}
+	return 0, false
+}
+
+// expSlow replays the scalar exp composition — SplitExpHost, the
+// fixed-point core, JoinExpHost — for an element outside
+// MirrorExpMany's fast class (|x·log2e| ≥ 2^22, or NaN).
+//
+//go:noinline
+func (d *DevFixedLLUT) expSlow(x float32) float32 {
+	r, k := rangered.SplitExpHost(x)
+	return rangered.JoinExpHost(d.MirrorFloat(r), k)
+}
+
+// MirrorExpMany mirrors exp's device composition around this table —
+// rangered.SplitExp, EvalFloat on the reduced argument, rangered.
+// JoinExp — over a slice, in one pass: no intermediate lanes, the
+// split's round-to-even a magic-number add, the Q3.28 conversions
+// inline, and the join's ldexp an exponent-field add. Elements outside
+// either fast window replay the scalar composition. Every element
+// takes the same device control flow, so the cost accounting stays a
+// single class.
+func (d *DevFixedLLUT) MirrorExpMany(xs, ys []float32) {
+	t := d.t
+	entries := t.Entries
+	// The shifts are < 32 (N ≤ 26); masking them says so to the
+	// compiler, which then drops its oversized-shift fix-ups.
+	shift := uint(fixed.FracBits-t.N) & 31
+	p := t.P
+	ys = ys[:len(xs)]
+	if !t.Interp {
+		hi := len(entries)
+		for i, x := range xs {
+			tl := x * rangered.Log2E
+			if !(tl > -expFastLimit && tl < expFastLimit) {
+				ys[i] = d.expSlow(x)
+				continue
+			}
+			r, k := expReduce(x, tl)
+			idx := int(int32(fixed.FromFloat32(r)-p) >> shift)
+			var q fixed.Q3_28
+			if uint(idx) < uint(hi) {
+				q = entries[idx]
+			} else {
+				q = entries[clampHost(int32(idx), hi)]
+			}
+			v := q.Float32()
+			y, ok := ldexpNormal(v, k)
+			if !ok {
+				y = ldexpSlow(v, int(k))
+			}
+			ys[i] = y
+		}
+		return
+	}
+	if len(entries) < 2 {
+		return // interpolated tables always hold ≥ 2 entries + guard
+	}
+	// next[i] aliases entries[i+1], as in DevLLUT.MirrorMany.
+	next := entries[1:]
+	lo0 := entries[:len(next)]
+	mask := int32(1)<<shift - 1
+	nbits := uint(t.N) & 31
+	for i, x := range xs {
+		tl := x * rangered.Log2E
+		if !(tl > -expFastLimit && tl < expFastLimit) {
+			ys[i] = d.expSlow(x)
+			continue
+		}
+		r, k := expReduce(x, tl)
+		diff := fixed.FromFloat32(r) - p
+		idx := int(int32(diff) >> shift)
+		delta := fixed.Q3_28(int32(diff) & mask << nbits)
+		var l0, l1 fixed.Q3_28
+		if uint(idx) < uint(len(lo0)) {
+			l0 = lo0[idx]
+			l1 = next[idx]
+		} else {
+			ci := clampHost(int32(idx), len(lo0))
+			l0 = entries[ci]
+			l1 = entries[ci+1]
+		}
+		v := l0.Add(l1.Sub(l0).Mul(delta)).Float32()
+		y, ok := ldexpNormal(v, k)
+		if !ok {
+			y = ldexpSlow(v, int(k))
+		}
+		ys[i] = y
 	}
 }
 

@@ -2,6 +2,7 @@ package pimsim
 
 import (
 	"fmt"
+	"math"
 
 	"transpimlib/internal/fixed"
 	"transpimlib/internal/fpbits"
@@ -303,7 +304,7 @@ func (c *Ctx) FToIRound(a float32) int32 {
 }
 
 // FToITrunc converts a float32 to int32 truncating toward zero.
-func (c *Ctx) FToITrunc(a float32) int32 { c.charge(OpConv, c.m.FToI); return int32(a) }
+func (c *Ctx) FToITrunc(a float32) int32 { c.charge(OpConv, c.m.FToI); return truncInt32(a) }
 
 // FToIFloor converts a float32 to int32 rounding toward -∞.
 func (c *Ctx) FToIFloor(a float32) int32 {
@@ -447,8 +448,10 @@ func (c *Ctx) mramAccess(bytes int) {
 // matching the conversion sequence the software float library performs.
 // It is the unmetered value function behind Ctx.FToIRound, exported so
 // host-side mirrors of device kernels reproduce the exact conversion.
+// Inputs outside the int32 range give the values truncInt32 pins:
+// MinInt32 for NaN, MinInt32+1 for a ≥ 2^31, MaxInt32 for a < -2^31.
 func RoundToEven32(a float32) int32 {
-	i := int32(a)
+	i := truncInt32(a)
 	frac := a - float32(i)
 	switch {
 	case frac > 0.5 || (frac == 0.5 && i&1 != 0):
@@ -460,13 +463,25 @@ func RoundToEven32(a float32) int32 {
 }
 
 // FloorToInt32 converts a float32 to int32 rounding toward -∞; the
-// unmetered value function behind Ctx.FToIFloor.
+// unmetered value function behind Ctx.FToIFloor. NaN and a ≥ 2^31 give
+// MinInt32, a < -2^31 gives MaxInt32.
 func FloorToInt32(a float32) int32 {
-	i := int32(a)
+	i := truncInt32(a)
 	if float32(i) > a {
 		i--
 	}
 	return i
+}
+
+// truncInt32 is int32(a) with the results Go leaves implementation-
+// defined — NaN, a ≥ 2^31 and a < -2^31 — pinned to MinInt32, the
+// "integer indefinite" amd64's CVTTSS2SL returns (arm64 saturates
+// instead), so the conversions above give the same bits on every host.
+func truncInt32(a float32) int32 {
+	if a >= -(1<<31) && a < 1<<31 {
+		return int32(a)
+	}
+	return math.MinInt32
 }
 
 // Placement selects which PIM memory holds a lookup table or constant

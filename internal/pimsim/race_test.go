@@ -73,7 +73,7 @@ func TestConcurrentShardLaunches(t *testing.T) {
 						t.Errorf("shard %d: dpu %d charged no cycles", shard, id)
 					}
 					got := d.MRAM.Float32(outAddr[id])
-					want := float32(shard)+0.5
+					want := float32(shard) + 0.5
 					want = want*2 + 1
 					if got != want {
 						t.Errorf("shard %d dpu %d: got %v, want %v", shard, id, got, want)

@@ -18,7 +18,7 @@ import (
 // bit-comparable).
 type Errors struct {
 	N       int     `json:"n"`
-	RMSE    float64 `json:"rmse"`    // √(mean of squared absolute errors)
+	RMSE    float64 `json:"rmse"` // √(mean of squared absolute errors)
 	MaxAbs  float64 `json:"max_abs"`
 	MeanAbs float64 `json:"mean_abs"`
 	MaxULP  float64 `json:"max_ulp"` // max |error| / ulp(reference), reference in float32
