@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"transpimlib/internal/cordic"
+	"transpimlib/internal/fixed"
 	"transpimlib/internal/lut"
 	"transpimlib/internal/pimsim"
 	"transpimlib/internal/rangered"
@@ -81,7 +82,7 @@ func quadrantReps() [maxCostClasses]float32 {
 
 // fix64FromF32 mirrors Ctx.F32ToFix64 with cordic.FracBits.
 func fix64FromF32(f float32) int64 {
-	return int64(float64(f) * float64(uint64(1)<<cordic.FracBits))
+	return fixed.Fix64FromFloat32(f, cordic.FracBits)
 }
 
 // fix64ToF32 mirrors Ctx.Fix64ToF32 with cordic.FracBits.

@@ -105,6 +105,16 @@ func (r *request) complete(b *batch, shardID int) (last bool) {
 	return last
 }
 
+// labels returns the request's ledger, profiler and log labels: the
+// function and its method label, or "program" and "fused:<name>" for a
+// fused program (its own rows, never the overflow bucket).
+func (r *request) labels() (fn, method string) {
+	if r.prog != nil {
+		return "program", "fused:" + r.prog.Name()
+	}
+	return r.spec.Fn.String(), methodLabel(r.spec.Par)
+}
+
 // seg is a contiguous slice of one request packed into a batch.
 type seg struct {
 	req *request
@@ -126,7 +136,7 @@ type batch struct {
 
 	// Set by the pipeline stages.
 	slot   int     // shard buffer slot held while in flight
-	perDPU int     // elements per core after shard planning
+	perDPU int     // elements per lane of the layout the batch ran on
 	hit    bool    // tables were resident on the serving shard
 	setup  float64 // modeled setup charged (cache miss only)
 	tin    float64 // modeled host→PIM seconds
@@ -135,24 +145,28 @@ type batch struct {
 	cycles uint64  // modeled kernel cycles (slowest core)
 	err    error
 
-	// Compiled-plan staging decisions, made at transfer-in when a plan
-	// hit resolves the batch's shape (plan.go). direct evaluates a
-	// single-segment batch straight between the request's own
-	// input/output slices — no staging copy, no MRAM round-trip;
-	// hostOut stages coalesced batches through the flat host buffers
-	// but skips MRAM. Modeled charges are identical either way (the
-	// differential contract). Both stay false under fault injection.
-	plan    *batchPlan
-	direct  bool
-	hostOut bool
+	// bytesIn/bytesOut are the metered host↔PIM bytes: the rank-padded
+	// inputs (plus a program's initial scalar broadcasts) at
+	// transfer-in, a program's reduction syncs, and the result at
+	// transfer-out. For programs they reconcile exactly against the
+	// compiler's analytic byte model.
+	bytesIn, bytesOut int
 
-	// Fused-program batch fields (program.go): prog carries the whole
-	// program as one single-segment batch; pIn/pOut accumulate its
-	// metered host↔PIM bytes across transfer-in, the phase syncs, and
-	// transfer-out (they reconcile exactly against the compiler's
-	// analytic byte model).
-	prog      *fusion.Compiled
-	pIn, pOut int
+	// prog is a fused-program batch's compiled program (program.go),
+	// carried whole as one single-segment batch; nil for a function
+	// batch, which runs its spec's one-node program.
+	prog *fusion.Compiled
+
+	// Host staging, decided at transfer-in: in/out are what the plan's
+	// Exec binds — a program's own arguments, a single-segment batch's
+	// request slices, or a coalesced batch's flat slot buffers. in1
+	// backs in for function batches.
+	in  [][]float32
+	in1 [1][]float32
+	out []float32
+
+	// plan is the compiled plan the compute stage resolved (plan.go).
+	plan *batchPlan
 
 	// Reliability outcomes (fault injection only; see reliability.go).
 	lanes    []int // healthy-lane chunk layout when remapped
@@ -160,7 +174,7 @@ type batch struct {
 	remapped bool  // served by a subset of the shard's cores
 	hedged   bool  // slowest lane relaunched
 	degraded bool  // completed via the recovery ladder's last rung
-	hostEval bool  // outputs produced by the host mirror (staging only)
+	hostEval bool  // outputs produced by the host mirror
 	inFailed bool  // transfer-in exhausted its retries
 
 	// tr holds the wall-clock stage stamps when tracing is enabled;

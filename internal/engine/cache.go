@@ -73,12 +73,9 @@ func (c *tableCache) ensure(spec Spec, s *shard) (ops []*core.Operator, hit bool
 	if ops, ok := e.shardOps[s.id]; ok {
 		return ops, true, 0, nil
 	}
-	// Building loads tables into the shard's core memories, which may
-	// grow their backing stores: exclude the shard's overlapped
-	// transfer stages for the duration (the pimsim discipline).
-	s.memMu.Lock()
+	// Building loads tables into the shard's core memories; only the
+	// shard's compute stage touches them, so no memory lock is needed.
 	set, err := core.BuildSet(spec.Fn, spec.Par, s.dpus)
-	s.memMu.Unlock()
 	if err != nil {
 		return nil, false, 0, err
 	}

@@ -15,12 +15,21 @@
 // plus the modeled per-stage costs; the engine accumulates fleet-wide
 // counters.
 //
+// Every batch — a function request (alone or coalesced), a fused
+// program, clean or under fault injection, fast or Reference — runs one
+// way: as a compiled fusion program (a function batch is its spec's
+// one-node program) through one executor, whose only control flow is
+// the recovery ladder (reliability.go). Batches stage on the host: the
+// kernels read and write the requests' slices or a slot's flat
+// buffers while the simulator charges exactly the modeled DMA and
+// transfer costs of the MRAM round trip, so outputs and cycles are
+// those of the device kernel.
+//
 // Concurrency discipline (see pimsim.System): each shard's cores are
-// owned by that shard's pipeline; the transfer clock is shared and
-// internally locked; all per-shard MRAM I/O buffers are pre-touched
-// at construction so overlapped stages never grow a Mem under a
-// reader, and table builds (which do grow memories) serialize against
-// the shard's transfer stages via a per-shard memory lock.
+// owned by that shard's compute stage, the only stage that touches
+// their memories (table builds, scrubbing, kernels); the transfer
+// clock is shared and internally locked; the transfer stages touch
+// only host staging buffers, owned by the batch holding the slot.
 package engine
 
 import (
@@ -33,6 +42,7 @@ import (
 	"transpimlib/internal/accwatch"
 	"transpimlib/internal/core"
 	"transpimlib/internal/faultsim"
+	"transpimlib/internal/fusion"
 	"transpimlib/internal/lut"
 	"transpimlib/internal/pimsim"
 	"transpimlib/internal/profiler"
@@ -166,29 +176,29 @@ type shard struct {
 	dpus []*pimsim.DPU
 
 	capPerDPU int // elements per core per slot
-	// inAddr/outAddr are [slot][localCore] MRAM addresses, allocated
-	// and pre-touched at construction.
-	inAddr  [][]int
-	outAddr [][]int
 
 	// inBuf/outBuf are [slot] flat host staging buffers in core-major
 	// order (core k owns [k·perDPU, (k+1)·perDPU)), sized
-	// capPerDPU·cores: segments pack into them with contiguous copies
-	// and each core's chunk moves to/from MRAM in one typed bulk
-	// access. A slot's staging is owned by the batch holding the slot.
+	// capPerDPU·cores: a coalesced batch's segments pack into them with
+	// contiguous copies. A slot's staging is owned by the batch holding
+	// the slot.
 	inBuf  [][]float32
 	outBuf [][]float32
-	// ys is per-local-core kernel scratch for the batch fast path's
-	// outputs; safe because a shard computes one batch at a time.
-	ys [][]float32
 	// arena is per-local-core classifier scratch for the fused batch
 	// kernels' SoA lanes, pre-grown to capPerDPU at construction so
 	// steady-state batches allocate nothing. Indexed by serving lane,
 	// so remapped and hedged launches never share an arena.
 	arena []*lut.Scratch
-	// issue0/dma0 are the compute stage's per-core cycle baselines,
-	// persistent so steady-state batches allocate nothing.
-	issue0, dma0 []uint64
+
+	// The executor's per-launch scratch, persistent so steady-state
+	// batches allocate nothing: lanes lists every local lane (the
+	// full layout); launchIDs/chunkOf are the current launch's core ids
+	// and lane → chunk map; issue0/dma0/deltas its per-lane cycle
+	// baselines and deltas; failedLane the lanes that failed within the
+	// current batch (see reliability.go).
+	lanes, launchIDs, chunkOf []int
+	issue0, dma0, deltas      []uint64
+	failedLane                []bool
 
 	// lctx is the profiler's launch context: written by this shard's
 	// compute goroutine immediately before each launch, read by the
@@ -199,15 +209,10 @@ type shard struct {
 	mid   chan *batch // transfer-in → compute
 	out   chan *batch // compute → transfer-out
 
-	// memMu serializes operations that may grow a core's Mem (table
-	// builds) against the transfer stages that read/write the
-	// pre-touched I/O buffers concurrently with kernels.
-	memMu sync.Mutex
-
 	// Reliability state, allocated only when fault injection is on
 	// (see reliability.go). rec is a throwaway recorder Ctx for
 	// host-mirror degraded evaluation; ioEnd[k] marks the end of lane
-	// k's pre-touched I/O region, so [ioEnd, MRAM.Used()) is the
+	// k's reserved I/O region, so [ioEnd, MRAM.Used()) is the
 	// resident-table region that golden/goldenSum scrub against.
 	rec          *pimsim.Ctx
 	ioEnd        []int
@@ -216,10 +221,6 @@ type shard struct {
 	goldenSum    []uint64
 	scratch      []byte
 	lanesScratch []int
-	launchIDs    []int
-	chunkOf      []int  // local lane -> chunk index in the current launch
-	failedLane   []bool // lanes that failed within the current batch
-	deltas       []uint64
 	medScratch   []uint64
 }
 
@@ -230,13 +231,13 @@ type Engine struct {
 	sys    *pimsim.System
 	shards []*shard
 	cache  *tableCache
-	// plans caches compiled batch plans per (spec, shard, size) so the
-	// steady state skips table-cache locking and shard planning; see
-	// plan.go. Invalidated lazily by the table cache's generation.
-	plans *planCache
-	// pplans caches fused-program execution plans per (program, shard,
-	// size); see program.go. Pins the same table-cache generation.
-	pplans *progPlanCache
+	// plans caches compiled batch plans per (program, shard, size) so
+	// the steady state skips compiling, table-cache locking and shard
+	// planning; see plan.go. Invalidated lazily by the table cache's
+	// generation. fnProgs holds each function spec's one-node program.
+	plans   *planCache
+	fnMu    sync.Mutex
+	fnProgs map[Spec]*fusion.Compiled
 
 	// bplan/splan are the pipeline's stage seams (see stages.go): the
 	// batcher plans batches through bplan, the transfer stages plan
@@ -255,11 +256,6 @@ type Engine struct {
 	tel    *telemetry.Telemetry // registry always present; Tracer nil unless TraceDepth > 0
 	met    *metrics
 	tracer *telemetry.Tracer // alias of tel.Tracer, nil when tracing is off
-
-	// streamSig is the per-element streaming overhead of the kernel
-	// loop (WRAM load + store + loop control), recorded once at
-	// construction and bulk-charged by the batch fast path.
-	streamSig pimsim.CostSig
 
 	// Reliability subsystem, nil unless Config.Faults enables
 	// injection. seq is the batcher-owned batch sequence counter — the
@@ -285,9 +281,9 @@ type Engine struct {
 	prof *profiler.Collector
 }
 
-// New builds and starts an engine: the PIM system, the per-shard I/O
-// buffers (pre-touched), the batcher, and the three pipeline stages
-// per shard.
+// New builds and starts an engine: the PIM system, the per-shard
+// staging buffers and MRAM reservations, the batcher, and the three
+// pipeline stages per shard.
 func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if cfg.DPUs%cfg.Shards != 0 {
@@ -298,7 +294,7 @@ func New(cfg Config) (*Engine, error) {
 		sys:      pimsim.NewSystem(pimsim.Config{DPUs: cfg.DPUs, Cost: cfg.Cost}),
 		cache:    newTableCache(),
 		plans:    newPlanCache(defaultPlanCacheLimit),
-		pplans:   newProgPlanCache(defaultProgPlanLimit),
+		fnProgs:  make(map[Spec]*fusion.Compiled),
 		bplan:    coalescePlanner{},
 		splan:    paddedPlanner{},
 		submit:   make(chan *request, cfg.QueueDepth),
@@ -338,16 +334,6 @@ func New(cfg Config) (*Engine, error) {
 	case e.prof != nil:
 		e.sys.SetLaunchObserver(e.observeLaunch)
 	}
-	// Record the per-element streaming overhead signature on a
-	// throwaway core: one WRAM load, one WRAM store, and the loop
-	// counter + branch the interpreted kernel charges per element.
-	rec := pimsim.NewSigRecorder(cfg.Cost)
-	rec.TakeSig()
-	v := rec.LoadStreamedF32(rec.DPU().MRAM, 0)
-	rec.StoreStreamedF32(rec.DPU().MRAM, 0, v)
-	rec.Charge(2)
-	e.streamSig = rec.TakeSig()
-
 	e.log = cfg.Log
 	if cfg.Faults != nil && cfg.Faults.Enabled() {
 		e.inj = faultsim.NewInjector(*cfg.Faults)
@@ -375,44 +361,43 @@ func New(cfg Config) (*Engine, error) {
 
 	perShard := cfg.DPUs / cfg.Shards
 	capPerDPU := (cfg.MaxBatch + perShard - 1) / perShard
-	zero := make([]byte, capPerDPU*4)
 	for sID := 0; sID < cfg.Shards; sID++ {
 		s := &shard{
-			id:        sID,
-			capPerDPU: capPerDPU,
-			slots:     make(chan int, cfg.Buffers),
-			mid:       make(chan *batch, 1),
-			out:       make(chan *batch, 1),
-			issue0:    make([]uint64, perShard),
-			dma0:      make([]uint64, perShard),
+			id:         sID,
+			capPerDPU:  capPerDPU,
+			slots:      make(chan int, cfg.Buffers),
+			mid:        make(chan *batch, 1),
+			out:        make(chan *batch, 1),
+			launchIDs:  make([]int, 0, perShard),
+			chunkOf:    make([]int, perShard),
+			issue0:     make([]uint64, perShard),
+			dma0:       make([]uint64, perShard),
+			deltas:     make([]uint64, perShard),
+			failedLane: make([]bool, perShard),
 		}
 		for k := 0; k < perShard; k++ {
 			id := sID*perShard + k
 			s.ids = append(s.ids, id)
+			s.lanes = append(s.lanes, k)
 			s.dpus = append(s.dpus, e.sys.DPU(id))
-			s.ys = append(s.ys, make([]float32, capPerDPU))
 			sc := new(lut.Scratch)
 			sc.Grow(capPerDPU)
 			sc.GrowQ(capPerDPU)
 			sc.GrowT(capPerDPU)
 			s.arena = append(s.arena, sc)
 		}
-		s.inAddr = make([][]int, cfg.Buffers)
-		s.outAddr = make([][]int, cfg.Buffers)
 		s.inBuf = make([][]float32, cfg.Buffers)
 		s.outBuf = make([][]float32, cfg.Buffers)
 		for slot := 0; slot < cfg.Buffers; slot++ {
-			s.inAddr[slot] = make([]int, perShard)
-			s.outAddr[slot] = make([]int, perShard)
 			s.inBuf[slot] = make([]float32, capPerDPU*perShard)
 			s.outBuf[slot] = make([]float32, capPerDPU*perShard)
-			for k, d := range s.dpus {
-				s.inAddr[slot][k] = d.MRAM.MustAlloc(capPerDPU * 4)
-				s.outAddr[slot][k] = d.MRAM.MustAlloc(capPerDPU * 4)
-				// Pre-touch so the backing store never grows while
-				// stages overlap (the pimsim ownership discipline).
-				d.MRAM.Write(s.inAddr[slot][k], zero)
-				d.MRAM.Write(s.outAddr[slot][k], zero)
+			for _, d := range s.dpus {
+				// Batches stage on the host, but each slot keeps its
+				// modeled MRAM input and output buffers reserved, so table
+				// placement, scrub offsets and capacity are those of the
+				// device kernel's memory map.
+				d.MRAM.MustAlloc(capPerDPU * 4)
+				d.MRAM.MustAlloc(capPerDPU * 4)
 			}
 			s.slots <- slot
 		}
@@ -423,14 +408,10 @@ func New(cfg Config) (*Engine, error) {
 			s.golden = make([][]byte, perShard)
 			s.goldenSum = make([]uint64, perShard)
 			s.lanesScratch = make([]int, 0, perShard)
-			s.launchIDs = make([]int, 0, perShard)
-			s.chunkOf = make([]int, perShard)
-			s.failedLane = make([]bool, perShard)
-			s.deltas = make([]uint64, perShard)
 			s.medScratch = make([]uint64, 0, perShard)
 			for k, d := range s.dpus {
-				// Everything below this brk is the pre-touched I/O
-				// region; tables built later live above it.
+				// Everything below this brk is the reserved I/O region;
+				// tables built later live above it.
 				s.ioEnd[k] = d.MRAM.Used()
 				s.goldenEnd[k] = s.ioEnd[k]
 			}
@@ -717,10 +698,11 @@ func (e *Engine) batcher() {
 
 // stageTransferIn is a shard's first pipeline stage: claim a buffer
 // slot (blocking until the drain stage recycles one — the
-// double-buffer backpressure), pack the batch's segments into the
-// slot's flat staging buffer with contiguous copies, push each core's
-// chunk to MRAM in one typed bulk write, and charge the rank-parallel
-// host→PIM transfer. It overlaps with the compute stage working on the
+// double-buffer backpressure), stage the batch on the host, and charge
+// the rank-parallel host→PIM transfer. Staging binds a fused program's
+// arguments or a single-segment batch's request slices in place and
+// packs a coalesced batch's segments into the slot's flat buffer with
+// contiguous copies. It overlaps with the compute stage working on the
 // previous batch in another slot.
 func (e *Engine) stageTransferIn(s *shard) {
 	defer e.wg.Done()
@@ -731,66 +713,26 @@ func (e *Engine) stageTransferIn(s *shard) {
 			b.tr.shard = s.id
 			b.tr.inStart = time.Now()
 		}
-		if b.prog != nil {
-			e.stageProgramIn(s, b)
-			if b.tr != nil {
-				b.tr.inEnd = time.Now()
-			}
-			s.mid <- b
-			continue
-		}
-		var per, padded int
-		if e.inj == nil {
-			b.plan = e.plans.lookup(planKey{spec: b.spec, shard: s.id, n: b.n}, e.cache.generation())
-			if b.plan != nil {
-				e.met.planHits.Inc()
-			} else {
-				e.met.planMisses.Inc()
-			}
-		}
-		if b.plan != nil {
-			per, padded = b.plan.perDPU, b.plan.padded
-			// A fast plan licenses host-side staging: the fused kernels
-			// read and write host memory while the simulator charges the
-			// exact same DMA/transfer costs, so the MRAM round-trip (and
-			// for single-segment batches, the pack copy too) is elided.
-			b.direct = b.plan.fast && len(b.segs) == 1
-			b.hostOut = b.plan.fast && !b.direct
-		} else {
-			per, padded = e.splan.Plan(b.n, len(s.dpus))
-		}
-		b.perDPU = per
-
-		if !b.direct {
-			flat := s.inBuf[b.slot]
+		_, inBytes := e.splan.Plan(b.n, len(s.dpus))
+		sg := b.segs[0]
+		switch {
+		case b.prog != nil:
+			b.in, b.out = sg.req.pinputs, sg.req.outputs
+			inBytes = b.prog.InBytes(b.n, len(s.dpus))
+		case len(b.segs) == 1:
+			b.in1[0] = sg.req.inputs[sg.off : sg.off+sg.n]
+			b.in, b.out = b.in1[:], sg.req.outputs[sg.off:sg.off+sg.n]
+		default:
+			flat := s.inBuf[b.slot][:b.n]
 			idx := 0
 			for _, sg := range b.segs {
-				copy(flat[idx:idx+sg.n], sg.req.inputs[sg.off:sg.off+sg.n])
-				idx += sg.n
+				idx += copy(flat[idx:], sg.req.inputs[sg.off:sg.off+sg.n])
 			}
-			if !b.hostOut {
-				s.memMu.Lock()
-				for d := range s.dpus {
-					lo := d * per
-					if lo >= b.n {
-						break
-					}
-					hi := lo + per
-					if hi > b.n {
-						hi = b.n
-					}
-					s.dpus[d].MRAM.WriteF32s(s.inAddr[b.slot][d], flat[lo:hi])
-				}
-				s.memMu.Unlock()
-			}
+			b.in1[0] = flat
+			b.in, b.out = b.in1[:], s.outBuf[b.slot][:b.n]
 		}
-
-		if e.inj != nil {
-			e.chargeTransferIn(s, b, padded)
-		} else {
-			e.sys.ChargeHostToPIM(padded, true)
-			b.tin = float64(padded) / e.sys.Config().HostToPIMBandwidth
-		}
+		e.chargeTransferIn(b, inBytes)
+		b.bytesIn = inBytes
 		if b.tr != nil {
 			b.tr.inEnd = time.Now()
 		}
@@ -798,248 +740,69 @@ func (e *Engine) stageTransferIn(s *shard) {
 	}
 }
 
-// stageCompute is a shard's second stage: ensure the spec's tables
-// are resident (the cache hit/miss point), then launch the streaming
-// kernel on the shard's cores and account its cycles.
+// stageCompute is a shard's second stage: resolve the batch's compiled
+// plan — the plan and table cache hit/miss point — then run it through
+// the executor (reliability.go).
 func (e *Engine) stageCompute(s *shard) {
 	defer e.wg.Done()
 	defer close(s.out)
 	for b := range s.mid {
-		if b.prog != nil {
-			e.computeProgram(s, b)
-			s.out <- b
-			continue
-		}
-		if e.inj != nil {
-			e.computeShardFaulty(s, b)
-			s.out <- b
-			continue
-		}
 		if b.tr != nil {
 			b.tr.setupStart = time.Now()
 		}
-		var ops []*core.Operator
-		if b.plan != nil {
-			// A plan hit proves the tables were resident when the plan
-			// was compiled and the generation hasn't moved since: no
-			// table-cache lock, no shard planning, no setup charge.
-			ops = b.plan.ops
-			b.hit, b.setup = true, 0
-		} else {
-			gen := e.cache.generation()
-			resolved, hit, setup, err := e.cache.ensure(b.spec, s)
-			e.met.cachedSpecs.Set(int64(e.cache.size()))
-			if err != nil {
-				if b.tr != nil {
-					b.tr.setupEnd = time.Now()
-				}
-				b.err = err
-				s.out <- b
-				continue
-			}
-			ops = resolved
-			b.hit, b.setup = hit, setup
-			// Compile the batch plan for this shape. The generation was
-			// read before ensure: a hot-swap racing the build leaves the
-			// plan stale, and the next lookup recompiles it.
-			per, padded := e.splan.Plan(b.n, len(s.dpus))
-			evicted := e.plans.store(planKey{spec: b.spec, shard: s.id, n: b.n}, &batchPlan{
-				ops:    ops,
-				fast:   !e.cfg.Reference && len(ops) > 0 && ops[0].HasFastPath(),
-				perDPU: per,
-				padded: padded,
-				gen:    gen,
-			})
-			if evicted > 0 {
-				e.met.planEvictions.Add(uint64(evicted))
-			}
-		}
+		b.plan, b.err = e.resolvePlan(s, b)
 		if b.tr != nil {
 			b.tr.setupEnd = time.Now()
 		}
-
-		if b.tr != nil {
-			b.tr.kernStart = time.Now()
-		}
-		for i, d := range s.dpus {
-			s.issue0[i] = d.IssueCycles()
-			s.dma0[i] = d.DMACycles()
-		}
-		per := b.perDPU
-		base := s.ids[0]
-		if e.prof != nil {
-			e.profContext(s, b, "kernel")
-		}
-		b.err = e.sys.LaunchShard(s.ids, func(ctx *pimsim.Ctx, id int) error {
-			local := id - base
-			count := b.n - local*per
-			if count > per {
-				count = per
+		if b.err == nil {
+			if b.tr != nil {
+				b.tr.kernStart = time.Now()
 			}
-			if count <= 0 {
-				return nil
+			e.execute(s, b)
+			if b.tr != nil {
+				b.tr.kernEnd = time.Now()
 			}
-			e.computeCore(ctx, s, b, ops[local], local, count)
-			return nil
-		})
-		var mx uint64
-		for i, d := range s.dpus {
-			c := pimsim.ClosedFormCycles(d.IssueCycles()-s.issue0[i], d.DMACycles()-s.dma0[i], d.Tasklets())
-			if c > mx {
-				mx = c
-			}
-		}
-		b.cycles = mx
-		b.tcomp = float64(mx) / e.sys.Config().ClockHz
-		if b.tr != nil {
-			b.tr.kernEnd = time.Now()
 		}
 		s.out <- b
 	}
 }
 
-// computeCore runs one core's share of a batch: the streamed kernel of
-// Fig. 3(a) — input DMA, per-element evaluation, output DMA. With the
-// operator's batch fast path it evaluates the staged inputs through
-// the fused mirror, bulk-charges the per-element streaming overhead,
-// and stores the results with one typed bulk write; accounting is
-// bit-identical to the per-element interpreted loop (Config.Reference
-// forces the latter). Allocation-free in steady state.
-func (e *Engine) computeCore(ctx *pimsim.Ctx, s *shard, b *batch, op *core.Operator, local, count int) {
-	if b.direct || b.hostOut {
-		e.computeCoreHost(ctx, s, b, op, local, count)
-		return
-	}
-	e.computeCoreAt(ctx, s, b, op, local, local, b.perDPU, count)
-}
-
-// computeCoreHost is the compiled-plan staging path: the fused mirror
-// reads and writes host memory — the request's own slices for a direct
-// batch, the slot's flat staging buffers for a coalesced one — while
-// every modeled charge of computeCoreAt's fast branch is replayed
-// verbatim (loop setup, input DMA, per-class kernel signatures,
-// streaming overhead, output DMA), so cycle accounting stays
-// bit-identical to the MRAM round-trip it elides. Lanes own disjoint
-// [lo, lo+count) windows, so concurrent cores never overlap.
-func (e *Engine) computeCoreHost(ctx *pimsim.Ctx, s *shard, b *batch, op *core.Operator, local, count int) {
-	lo := local * b.perDPU
-	var xs, ys []float32
-	if b.direct {
-		sg := b.segs[0]
-		xs = sg.req.inputs[sg.off+lo : sg.off+lo+count]
-		ys = sg.req.outputs[sg.off+lo : sg.off+lo+count]
-	} else {
-		xs = s.inBuf[b.slot][lo : lo+count]
-		ys = s.outBuf[b.slot][lo : lo+count]
-	}
-	ctx.Charge(4)
-	ctx.ChargeDMA(count * 4)
-	op.EvalBatchWith(ctx, xs, ys, s.arena[local])
-	ctx.ChargeSig(&e.streamSig, uint64(count))
-	ctx.ChargeDMA(count * 4)
-}
-
-// gatherOutputs reads a drained batch's results back into its
-// requests' output slices: one typed bulk read per core into the
-// slot's flat staging buffer, then contiguous copies out to the
-// segments.
-func (s *shard) gatherOutputs(b *batch) {
-	if b.direct {
-		// The compiled-plan direct path wrote straight into the
-		// request's output slice; nothing to gather.
-		return
-	}
-	per := b.perDPU
-	flat := s.outBuf[b.slot]
-	switch {
-	case b.hostEval || b.hostOut:
-		// Host-side results — the degraded mirror's, or the
-		// compiled-plan host staging path's — are already in the
-		// staging buffer; there is nothing to read back from MRAM.
-	case b.remapped:
-		// Remapped: chunk j lives on healthy lane b.lanes[j].
-		s.memMu.Lock()
-		for j, k := range b.lanes {
-			lo := j * per
-			if lo >= b.n {
-				break
-			}
-			hi := lo + per
-			if hi > b.n {
-				hi = b.n
-			}
-			s.dpus[k].MRAM.ReadF32s(s.outAddr[b.slot][k], flat[lo:hi])
-		}
-		s.memMu.Unlock()
-	default:
-		s.memMu.Lock()
-		for d := range s.dpus {
-			lo := d * per
-			if lo >= b.n {
-				break
-			}
-			hi := lo + per
-			if hi > b.n {
-				hi = b.n
-			}
-			s.dpus[d].MRAM.ReadF32s(s.outAddr[b.slot][d], flat[lo:hi])
-		}
-		s.memMu.Unlock()
-	}
-	idx := 0
-	for _, sg := range b.segs {
-		copy(sg.req.outputs[sg.off:sg.off+sg.n], flat[idx:idx+sg.n])
-		idx += sg.n
-	}
-}
-
-// stageTransferOut is a shard's third stage: gather results, charge
-// the PIM→host transfer, recycle the buffer slot, and complete the
-// batch's requests.
+// stageTransferOut is a shard's third stage: charge the PIM→host
+// transfer of the result, copy a coalesced batch's outputs from the
+// slot's staging buffer to its segments, recycle the buffer slot, and
+// complete the batch's requests.
 func (e *Engine) stageTransferOut(s *shard) {
 	defer e.wg.Done()
 	for b := range s.out {
 		if b.tr != nil {
 			b.tr.outStart = time.Now()
 		}
-		var bytesIn, bytesOut int
-		switch {
-		case b.prog != nil:
-			// Program outputs are already in the request's slices (host
-			// staging); only the result transfer remains to charge.
-			bytesIn, bytesOut = e.drainProgramOut(s, b)
-		case b.err == nil:
-			s.gatherOutputs(b)
-			var padded int
-			if b.plan != nil {
-				padded = b.plan.padded
-			} else {
-				_, padded = e.splan.Plan(b.n, len(s.dpus))
+		if b.err == nil && !b.hostEval {
+			// Only the result crosses back: nothing for a scalar result,
+			// whose value left in the final reduction gather, and nothing
+			// when the host mirror produced the outputs.
+			ob := b.plan.ex.Program().OutBytes(b.n, len(s.dpus))
+			if b.remapped {
+				ob = b.perDPU * 4 * len(b.lanes)
 			}
-			bytesIn = padded
-			switch {
-			case b.hostEval:
-				// Degraded results come from host memory: nothing to
-				// transfer back from the cores.
-			case e.inj != nil:
-				if b.remapped {
-					padded = b.perDPU * 4 * len(b.lanes)
-				}
-				e.chargeTransferOut(s, b, padded)
-				bytesOut = padded
-			default:
-				e.sys.ChargePIMToHost(padded, true)
-				b.tout = float64(padded) / e.sys.Config().PIMToHostBandwidth
-				bytesOut = padded
+			if ob > 0 {
+				e.chargeTransferOut(b, ob)
+				b.bytesOut += ob
+			}
+		}
+		if b.err == nil && len(b.segs) > 1 {
+			idx := 0
+			for _, sg := range b.segs {
+				idx += copy(sg.req.outputs[sg.off:sg.off+sg.n], b.out[idx:])
 			}
 		}
 		if b.tr != nil {
 			b.tr.outEnd = time.Now()
 		}
 		s.slots <- b.slot
-		e.met.addBatch(b, s.id, bytesIn, bytesOut)
+		e.met.addBatch(b, s.id)
 		if e.led != nil {
-			e.chargeLedger(b, bytesIn, bytesOut)
+			e.chargeLedger(b)
 		}
 		for _, sg := range b.segs {
 			if sg.req.complete(b, s.id) {
@@ -1078,15 +841,8 @@ func (e *Engine) finishRequest(r *request) {
 		if r.stats.Degraded {
 			d.Degraded = 1
 		}
-		key := telemetry.LedgerKey{
-			Tenant:   r.tenant,
-			Function: r.spec.Fn.String(),
-			Method:   methodLabel(r.spec.Par),
-		}
-		if r.prog != nil {
-			key.Function, key.Method = "program", "fused:"+r.prog.Name()
-		}
-		e.led.Add(key, d)
+		fn, method := r.labels()
+		e.led.Add(telemetry.LedgerKey{Tenant: r.tenant, Function: fn, Method: method}, d)
 	}
 	// The shadow sampler compares outputs[i] against fn(inputs[i]); a
 	// fused program's output is a whole-graph composite with no single

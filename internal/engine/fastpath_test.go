@@ -66,11 +66,14 @@ func TestFastPathMatchesReference(t *testing.T) {
 	}
 }
 
-// TestComputeCoreZeroAlloc pins the zero-allocation contract of the
-// compute stage: once the engine is warm (tables resident, staging and
-// scratch buffers constructed), evaluating a core's share of a batch
-// through the fast path allocates nothing.
-func TestComputeCoreZeroAlloc(t *testing.T) {
+// TestRunLaneZeroAlloc pins the zero-allocation contract of the
+// executor's per-lane call: once the engine is warm (tables resident,
+// plan compiled, staging and scratch buffers constructed), running a
+// lane's share of a batch through the cached plan's Exec allocates
+// nothing — whether the batch binds a request's own slices (a
+// single-segment batch) or a slot's flat staging buffers (a coalesced
+// one).
+func TestRunLaneZeroAlloc(t *testing.T) {
 	e, err := New(Config{DPUs: 1, Shards: 1, MaxBatch: 256})
 	if err != nil {
 		t.Fatal(err)
@@ -79,32 +82,34 @@ func TestComputeCoreZeroAlloc(t *testing.T) {
 	fn, par := llutSpec()
 	xs := stats.RandomInputs(-7.9, 7.9, 256, 3)
 	if _, _, err := e.EvaluateBatch(fn, par, xs); err != nil {
-		t.Fatal(err) // warm: tables built, pools primed
+		t.Fatal(err) // warm: tables built, plan compiled, pools primed
 	}
 
 	s := e.shards[0]
-	ops, hit, _, err := e.cache.ensure(makeSpec(fn, par), s)
-	if err != nil {
-		t.Fatal(err)
+	p := e.plans.lookup(planKey{spec: makeSpec(fn, par), shard: 0, n: 256}, e.cache.generation())
+	if p == nil {
+		t.Fatal("warmup did not cache a compiled plan")
 	}
-	if !hit {
-		t.Fatal("warmup did not populate the table cache")
+	if !p.single {
+		t.Fatal("function batch plan not marked single-function")
 	}
-	op := ops[0]
-	if !op.HasFastPath() {
-		t.Fatal("LLUT operator has no batch fast path")
-	}
-
-	// The pipeline is idle (the warmup request completed), so driving
-	// slot 0 directly is safe.
-	b := &batch{spec: makeSpec(fn, par), n: 256, perDPU: 256, slot: 0}
-	copy(s.inBuf[0][:256], xs)
-	s.dpus[0].MRAM.WriteF32s(s.inAddr[0][0], s.inBuf[0][:256])
+	ys := make([]float32, 256)
 	ctx := s.dpus[0].NewCtx()
-
-	if avg := testing.AllocsPerRun(200, func() {
-		e.computeCore(ctx, s, b, op, 0, 256)
-	}); avg != 0 {
-		t.Fatalf("computeCore allocates %.1f objects per batch, want 0", avg)
+	// The pipeline is idle (the warmup request completed), so driving
+	// the plan and slot 0 directly is safe.
+	for _, c := range []struct {
+		name    string
+		in, out []float32
+	}{
+		{"in-place", xs, ys},
+		{"flat", s.inBuf[0][:256], s.outBuf[0][:256]},
+	} {
+		copy(c.in, xs)
+		p.ex.Bind([][]float32{c.in}, nil, c.out, 256, p.perDPU)
+		if avg := testing.AllocsPerRun(200, func() {
+			p.ex.RunLane(ctx, 0, 0, 0, s.arena[0], true)
+		}); avg != 0 {
+			t.Fatalf("%s: RunLane allocates %.1f objects per batch, want 0", c.name, avg)
+		}
 	}
 }

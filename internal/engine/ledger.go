@@ -23,16 +23,9 @@ func (e *Engine) Ledger() telemetry.LedgerSnapshot { return e.led.Snapshot() }
 // column reconciles ±0 against the simulator's attributed cycles.
 // Runs on the drain-stage goroutine, where every batch field is
 // quiescent.
-func (e *Engine) chargeLedger(b *batch, bytesIn, bytesOut int) {
-	fn := b.spec.Fn.String()
-	method := methodLabel(b.spec.Par)
-	if b.prog != nil {
-		// Fused programs get their own method-label convention so their
-		// rows don't collapse into tpltop's overflow bucket: the
-		// function column reads "program" and the method column carries
-		// the program's name.
-		fn, method = "program", "fused:"+b.prog.Name()
-	}
+func (e *Engine) chargeLedger(b *batch) {
+	fn, method := b.segs[0].req.labels()
+	bytesIn, bytesOut := b.bytesIn, b.bytesOut
 	n := uint64(b.n)
 	modeled := b.setup + b.tin + b.tcomp + b.tout
 	var cum, cycPrev, binPrev, boutPrev uint64

@@ -50,11 +50,7 @@ func (e *Engine) observeLaunch(prof pimsim.LaunchProfile) {
 // Segs slice is reused; steady state allocates nothing.
 func (e *Engine) profContext(s *shard, b *batch, stage string) {
 	lc := &s.lctx
-	if b.prog != nil {
-		lc.Function, lc.Method = "program", "fused:"+b.prog.Name()
-	} else {
-		lc.Function, lc.Method = b.spec.Fn.String(), methodLabel(b.spec.Par)
-	}
+	lc.Function, lc.Method = b.segs[0].req.labels()
 	lc.Stage = stage
 	lc.Segs = lc.Segs[:0]
 	for _, sg := range b.segs {

@@ -1,21 +1,19 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"transpimlib/internal/core"
 	"transpimlib/internal/fusion"
-	"transpimlib/internal/pimsim"
 )
 
-// This file is the engine's fused-program path: a compiled
+// This file is the engine's fused-program front end: a compiled
 // fusion.Program rides the same submit → batcher → transfer-in →
-// compute → transfer-out pipeline as ordinary requests, but one batch
-// carries the whole program. Its intermediate vectors never cross the
-// host boundary — transfer-in ships the input vectors (plus the initial
+// compute → transfer-out pipeline and the same executor as ordinary
+// requests (which run as one-node programs), but one batch carries the
+// whole program. Its intermediate vectors never cross the host
+// boundary — transfer-in ships the input vectors (plus the initial
 // scalar broadcasts) once, each phase is one fused kernel launch, the
 // 4-byte-per-lane reduction syncs are the only mid-program traffic, and
 // transfer-out ships only the result. The per-op baseline
@@ -66,71 +64,9 @@ func (s PerOpStats) ModeledSeconds() float64 {
 	return s.SetupSeconds + s.TransferInSeconds + s.ComputeSeconds + s.TransferOutSeconds
 }
 
-// progKey identifies a cached program execution plan: one compiled
-// program, one shard (whose cores hold the operator tables), one batch
-// shape.
-type progKey struct {
-	pid   uint64
-	shard int
-	n     int
-}
-
-// progEntry pins the table-cache generation like batchPlan does: a
-// table hot-swap bumps the generation and the entry self-invalidates.
-type progEntry struct {
-	ex  *fusion.Exec
-	gen uint64
-}
-
-const defaultProgPlanLimit = 64
-
-// progPlanCache is the bounded FIFO cache of program execution plans.
-// An Exec carries per-batch mutable state, but a shard's compute stage
-// runs one batch at a time and entries are keyed by shard, so a cached
-// Exec never serves two batches concurrently.
-type progPlanCache struct {
-	mu    sync.Mutex
-	m     map[progKey]progEntry
-	order []progKey
-	limit int
-}
-
-func newProgPlanCache(limit int) *progPlanCache {
-	return &progPlanCache{m: make(map[progKey]progEntry), limit: limit}
-}
-
-func (c *progPlanCache) lookup(k progKey, gen uint64) *fusion.Exec {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.m[k]
-	if !ok || e.gen != gen {
-		return nil
-	}
-	return e.ex
-}
-
-func (c *progPlanCache) store(k progKey, ex *fusion.Exec, gen uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.m[k]; !ok {
-		c.order = append(c.order, k)
-	}
-	c.m[k] = progEntry{ex: ex, gen: gen}
-	for len(c.order) > c.limit {
-		old := c.order[0]
-		c.order = c.order[1:]
-		delete(c.m, old)
-	}
-}
-
-func (c *progPlanCache) size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-// CachedProgramPlans returns how many program execution plans are live.
-func (e *Engine) CachedProgramPlans() int { return e.pplans.size() }
+// CachedProgramPlans returns how many of the live compiled plans run
+// fused programs.
+func (e *Engine) CachedProgramPlans() int { return e.plans.programs() }
 
 // CompileProgram compiles a fused program against this engine's cost
 // model under the given method parameters. The compiled program is
@@ -233,215 +169,4 @@ func (e *Engine) EvaluateProgramPerOp(tenant string, c *fusion.Compiled, inputs 
 	}
 	st.MovedBytes = c.PerOpBytes(len(inputs[0]), e.cfg.DPUs/e.cfg.Shards)
 	return out, st, nil
-}
-
-// stageProgramIn is transfer-in for a program batch: charge the
-// program's inbound bytes — every input vector rank-padded plus the
-// initial scalar broadcasts — in one checked (or plain) transfer.
-// Programs always use host staging (the compiled-plan convention): the
-// fused kernels read and write host memory while the simulator charges
-// the exact modeled costs, so no MRAM copies are made here.
-func (e *Engine) stageProgramIn(s *shard, b *batch) {
-	per, _ := e.splan.Plan(b.n, len(s.dpus))
-	b.perDPU = per
-	inBytes := b.prog.InBytes(b.n, len(s.dpus))
-	if e.inj != nil {
-		e.chargeTransferIn(s, b, inBytes)
-	} else {
-		e.sys.ChargeHostToPIM(inBytes, true)
-		b.tin = float64(inBytes) / e.sys.Config().HostToPIMBandwidth
-	}
-	b.pIn = inBytes
-}
-
-// computeProgram is the compute stage for a program batch: resolve (or
-// plan-hit) the execution plan, then run each phase as one shard-wide
-// fused kernel launch with a reduction sync between phases. Under
-// fault injection a failed launch retries the whole phase — RunLane is
-// idempotent over its bound state — and exhaustion (or a failed
-// transfer-in) degrades to the bit-exact host mirror, the same last
-// rung as the per-op ladder.
-func (e *Engine) computeProgram(s *shard, b *batch) {
-	c := b.prog
-	r := b.segs[0].req
-	if b.tr != nil {
-		b.tr.setupStart = time.Now()
-	}
-	gen := e.cache.generation()
-	key := progKey{pid: c.ID(), shard: s.id, n: b.n}
-	var ex *fusion.Exec
-	if e.inj == nil {
-		ex = e.pplans.lookup(key, gen)
-	}
-	if ex != nil {
-		b.hit, b.setup = true, 0
-		e.met.planHits.Inc()
-	} else {
-		e.met.planMisses.Inc()
-		ex = c.NewExec(len(s.dpus))
-		hit := true
-		var setup float64
-		for i, fn := range c.FuncNodes() {
-			ops, h, su, err := e.cache.ensure(Spec{Fn: fn, Par: c.Params()}, s)
-			e.met.cachedSpecs.Set(int64(e.cache.size()))
-			if err != nil {
-				b.err = err
-				if b.tr != nil {
-					b.tr.setupEnd = time.Now()
-				}
-				return
-			}
-			if !h {
-				hit = false
-			}
-			setup += su
-			ex.SetOps(i, ops)
-		}
-		b.hit, b.setup = hit, setup
-		if e.inj == nil {
-			e.pplans.store(key, ex, gen)
-		}
-	}
-	if b.tr != nil {
-		b.tr.setupEnd = time.Now()
-	}
-
-	var out []float32
-	if !c.ScalarResult() {
-		out = r.outputs
-	}
-	ex.Bind(r.pinputs, r.pscalars, out, b.n, b.perDPU)
-
-	if b.tr != nil {
-		b.tr.kernStart = time.Now()
-	}
-	if b.inFailed {
-		e.degradeProgram(s, b, ex)
-		if b.tr != nil {
-			b.tr.kernEnd = time.Now()
-		}
-		return
-	}
-	fast := !e.cfg.Reference
-	base := s.ids[0]
-	for phi := 0; phi < ex.NumPhases(); phi++ {
-		if e.prof != nil {
-			// Each phase is its own launch: label it so flamegraphs
-			// split a fused program's cycles phase by phase.
-			e.profContext(s, b, phaseStage(phi))
-		}
-		kern := func(ctx *pimsim.Ctx, id int) error {
-			local := id - base
-			ex.RunLane(ctx, phi, local, s.arena[local], fast)
-			return nil
-		}
-		var launchErr error
-		for attempt := uint64(0); ; attempt++ {
-			for i, d := range s.dpus {
-				s.issue0[i] = d.IssueCycles()
-				s.dma0[i] = d.DMACycles()
-			}
-			if e.inj == nil {
-				launchErr = e.sys.LaunchShard(s.ids, kern)
-			} else {
-				launchErr = e.sys.LaunchShardSeq(b.seq, attempt, s.ids, kern)
-			}
-			var mx uint64
-			for i, d := range s.dpus {
-				cyc := pimsim.ClosedFormCycles(d.IssueCycles()-s.issue0[i], d.DMACycles()-s.dma0[i], d.Tasklets())
-				if cyc > mx {
-					mx = cyc
-				}
-			}
-			b.cycles += mx
-			b.tcomp += float64(mx) / e.sys.Config().ClockHz
-			if launchErr == nil {
-				break
-			}
-			var le *pimsim.LaunchError
-			if e.inj != nil && errors.As(launchErr, &le) && attempt < uint64(e.rel.MaxRetries) {
-				e.met.launchRetries.Inc()
-				b.retries++
-				b.tcomp += e.rel.backoff(attempt + 1)
-				continue
-			}
-			break
-		}
-		if launchErr != nil {
-			var le *pimsim.LaunchError
-			if e.inj != nil && errors.As(launchErr, &le) {
-				e.degradeProgram(s, b, ex)
-			} else {
-				b.err = launchErr
-			}
-			if b.tr != nil {
-				b.tr.kernEnd = time.Now()
-			}
-			return
-		}
-		// Phase sync: gather the reduction partials, combine on the
-		// host, broadcast the scalars the next phases read. These small
-		// transfers ride the plain charge paths even under injection —
-		// the ladder's retry/degrade rungs guard the bulk transfers and
-		// the launches.
-		gather, bcast := ex.Sync(phi)
-		if gather > 0 {
-			e.sys.ChargePIMToHost(gather, true)
-			b.tout += float64(gather) / e.sys.Config().PIMToHostBandwidth
-			b.pOut += gather
-		}
-		if bcast > 0 {
-			e.sys.ChargeHostToPIM(bcast, true)
-			b.tin += float64(bcast) / e.sys.Config().HostToPIMBandwidth
-			b.pIn += bcast
-		}
-	}
-	if c.ScalarResult() {
-		r.outputs[0] = ex.ScalarResult()
-	}
-	if b.tr != nil {
-		b.tr.kernEnd = time.Now()
-	}
-}
-
-// degradeProgram completes a program batch on the host mirror: the
-// whole bound batch re-runs sequentially through the interpreted
-// reference against a throwaway recorder, bit-identical to a clean
-// device run (the PR 4 ladder's last rung, extended to programs).
-func (e *Engine) degradeProgram(s *shard, b *batch, ex *fusion.Exec) {
-	rec := s.rec
-	if rec == nil {
-		rec = pimsim.NewSigRecorder(e.cfg.Cost)
-	}
-	ex.HostEval(rec)
-	if b.prog.ScalarResult() {
-		b.segs[0].req.outputs[0] = ex.ScalarResult()
-	}
-	b.degraded, b.hostEval = true, true
-	e.met.degraded.Inc()
-	if e.log != nil {
-		e.log.Warn("program degraded to host mirror",
-			"shard", s.id, "seq", b.seq, "elements", b.n,
-			"program", b.prog.Name(), "retries", b.retries)
-	}
-}
-
-// drainProgramOut is transfer-out for a program batch: only the result
-// vector crosses back (nothing for a scalar result — its value left in
-// the final reduction gather), and nothing moves when the host mirror
-// produced the outputs.
-func (e *Engine) drainProgramOut(s *shard, b *batch) (bytesIn, bytesOut int) {
-	if b.err == nil && !b.hostEval {
-		ob := b.prog.OutBytes(b.n, len(s.dpus))
-		if ob > 0 {
-			if e.inj != nil {
-				e.chargeTransferOut(s, b, ob)
-			} else {
-				e.sys.ChargePIMToHost(ob, true)
-				b.tout += float64(ob) / e.sys.Config().PIMToHostBandwidth
-			}
-			b.pOut += ob
-		}
-	}
-	return b.pIn, b.pOut
 }

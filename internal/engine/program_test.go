@@ -3,7 +3,9 @@ package engine
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"transpimlib/internal/core"
 	"transpimlib/internal/fusion"
@@ -178,36 +180,105 @@ func TestProgramDifferential(t *testing.T) {
 // convention: a program that is exactly one transcendental node must
 // cost the same modeled kernel cycles as EvaluateBatch of that function
 // — same DMA staging charges, same streaming signature, same per-
-// element kernel cost — and return bit-identical outputs.
+// element kernel cost — move the same metered bytes at the same modeled
+// transfer seconds, and return bit-identical outputs. Rows cover the
+// fast path, the interpreted Reference engine, and a batch coalesced
+// from two concurrent requests; the batch side runs twice so both a
+// plan miss and a plan hit are compared.
 func TestProgramSingleFuncCycles(t *testing.T) {
-	e, err := New(Config{DPUs: 4, Shards: 1, MaxBatch: 4096})
-	if err != nil {
-		t.Fatal(err)
+	rows := []struct {
+		name  string
+		cfg   Config
+		split int // > 0: the batch side is xs[:split] and xs[split:] submitted concurrently
+	}{
+		{"fast", Config{DPUs: 4, Shards: 1, MaxBatch: 4096}, 0},
+		{"reference", Config{DPUs: 4, Shards: 1, MaxBatch: 4096, Reference: true}, 0},
+		{"coalesced", Config{DPUs: 4, Shards: 1, MaxBatch: 4096, BatchWindow: 20 * time.Millisecond}, 300},
 	}
-	defer e.Close()
-
-	p := fusion.NewProgram("just-sigmoid")
-	p.Return(p.Func(core.Sigmoid, p.Input()))
-	prog, err := e.CompileProgram(p, progParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	xs := stats.RandomInputs(-7.5, 7.5, 777, 5)
-	fused, fst, err := e.EvaluateProgramTenant("", prog, [][]float32{xs}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, bst, err := e.EvaluateBatch(core.Sigmoid, progParams(), xs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			e, err := New(row.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
 
-	mustBits(t, "single-func program vs EvaluateBatch", fused, plain)
-	if fst.KernelCycles != bst.KernelCycles {
-		t.Fatalf("fused program cycles %d ≠ batch cycles %d — the shared sub-step charge conventions diverged",
-			fst.KernelCycles, bst.KernelCycles)
+			p := fusion.NewProgram("just-sigmoid")
+			p.Return(p.Func(core.Sigmoid, p.Input()))
+			prog, err := e.CompileProgram(p, progParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			s0 := e.Stats()
+			fused, fst, err := e.EvaluateProgramTenant("", prog, [][]float32{xs}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s1 := e.Stats()
+			fIn, fOut := s1.BytesIn-s0.BytesIn, s1.BytesOut-s0.BytesOut
+
+			for run := 0; run < 2; run++ {
+				plain, bst := singleFuncBatch(t, e, xs, row.split)
+				s2 := e.Stats()
+				bIn, bOut := s2.BytesIn-s1.BytesIn, s2.BytesOut-s1.BytesOut
+				s1 = s2
+
+				mustBits(t, "single-func program vs EvaluateBatch", fused, plain)
+				if fst.KernelCycles != bst.KernelCycles {
+					t.Fatalf("run %d: fused program cycles %d ≠ batch cycles %d — the shared sub-step charge conventions diverged",
+						run, fst.KernelCycles, bst.KernelCycles)
+				}
+				if fIn != bIn || fOut != bOut {
+					t.Fatalf("run %d: metered bytes: program (in=%d, out=%d), batch (in=%d, out=%d)",
+						run, fIn, fOut, bIn, bOut)
+				}
+				if fst.TransferInSeconds != bst.TransferInSeconds || fst.TransferOutSeconds != bst.TransferOutSeconds {
+					t.Fatalf("run %d: modeled transfer seconds: program (in=%g, out=%g), batch (in=%g, out=%g)",
+						run, fst.TransferInSeconds, fst.TransferOutSeconds, bst.TransferInSeconds, bst.TransferOutSeconds)
+				}
+			}
+		})
 	}
+}
+
+// singleFuncBatch evaluates sigmoid over xs through EvaluateBatch: as
+// one request, or — when split > 0 — as two concurrent requests that
+// must coalesce into one batch. It returns the concatenated outputs and
+// the stats of the (shared) batch.
+func singleFuncBatch(t *testing.T, e *Engine, xs []float32, split int) ([]float32, RequestStats) {
+	t.Helper()
+	if split == 0 {
+		ys, st, err := e.EvaluateBatch(core.Sigmoid, progParams(), xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ys, st
+	}
+	parts := [][]float32{xs[:split], xs[split:]}
+	outs := make([][]float32, 2)
+	sts := make([]RequestStats, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range parts {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			outs[i], sts[i], errs[i] = e.EvaluateBatch(core.Sigmoid, progParams(), parts[i])
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sts[i].Batches != 1 || sts[i].BatchElements != len(xs) {
+			t.Fatalf("request %d rode %d batches of %d elements, want one coalesced batch of %d",
+				i, sts[i].Batches, sts[i].BatchElements, len(xs))
+		}
+	}
+	return append(outs[0], outs[1]...), sts[0]
 }
 
 // TestProgramBytesReconcile checks the compiler's analytic byte model

@@ -2,20 +2,21 @@ package engine
 
 import (
 	"errors"
-	"time"
 
-	"transpimlib/internal/core"
 	"transpimlib/internal/faultsim"
 	"transpimlib/internal/pimsim"
 )
 
-// This file is the engine's recovery ladder, active only when
-// Config.Faults enables the injector (e.inj != nil): launch retries
-// with modeled exponential backoff, health-driven shard remapping onto
-// the surviving cores, optional hedged relaunches for stragglers,
-// MRAM table scrubbing with checksum repair, and — when everything
-// else is exhausted — graceful degradation onto the bit-exact host
-// mirrors. With injection disabled none of these paths run and the
+// This file is the engine's executor and its recovery ladder. Every
+// batch runs through execute; the ladder's rungs beyond the first only
+// fire when Config.Faults enables the injector (e.inj != nil): launch
+// retries with modeled exponential backoff, health-driven shard
+// remapping onto the surviving cores, the launch timeout, optional
+// hedged relaunches for stragglers, MRAM table scrubbing with checksum
+// repair, and — when everything else is exhausted — graceful
+// degradation onto the bit-exact host mirrors. Single-function plans
+// take every rung; fused programs take retry and degrade. With
+// injection disabled the first attempt always succeeds and the
 // pipeline is bit-identical to the fault-free engine.
 
 // engineFaultAgent adapts the faultsim injector to the simulator's
@@ -55,8 +56,9 @@ func (a *engineFaultAgent) Transfer(seq, attempt uint64, out bool) bool {
 // every attempt (failed ones included) costs the transfer time, each
 // retry adds the modeled backoff. Exhaustion marks the batch so the
 // compute stage degrades it to the host mirror — the inputs are still
-// in host staging, so no result is lost.
-func (e *Engine) chargeTransferIn(s *shard, b *batch, padded int) {
+// in host staging, so no result is lost. Without injection the first
+// attempt always succeeds: the plain rank-parallel charge.
+func (e *Engine) chargeTransferIn(b *batch, padded int) {
 	bw := e.sys.Config().HostToPIMBandwidth
 	for attempt := uint64(0); ; attempt++ {
 		err := e.sys.TryChargeHostToPIM(b.seq, attempt, padded, true)
@@ -78,7 +80,7 @@ func (e *Engine) chargeTransferIn(s *shard, b *batch, padded int) {
 // exhaustion the results — already gathered into host staging and
 // bit-exact by construction — stand in for a host-mirror re-evaluation
 // and the batch is marked degraded.
-func (e *Engine) chargeTransferOut(s *shard, b *batch, padded int) {
+func (e *Engine) chargeTransferOut(b *batch, padded int) {
 	bw := e.sys.Config().PIMToHostBandwidth
 	for attempt := uint64(0); ; attempt++ {
 		err := e.sys.TryChargePIMToHost(b.seq, attempt, padded, true)
@@ -109,7 +111,7 @@ func fnv1a(p []byte) uint64 {
 }
 
 // captureGolden refreshes each lane's golden table image — the MRAM
-// region between the pre-touched I/O buffers and the allocation brk,
+// region between the reserved I/O buffers and the allocation brk,
 // i.e. every table resident on the core — whenever a build grew it.
 // The golden copy plus its checksum are the scrub reference.
 func (e *Engine) captureGolden(s *shard) {
@@ -134,8 +136,7 @@ func (e *Engine) captureGolden(s *shard) {
 // rewrites the golden image (charged as a serial host→PIM re-stage
 // into the batch's setup time). Tables are verified-clean when it
 // returns, so kernels and mirror-nil fallbacks never read corrupted
-// entries. The region is pre-backed and disjoint from the I/O
-// buffers, so no memory lock is needed.
+// entries.
 func (e *Engine) flipAndRepair(s *shard, b *batch) {
 	bw := e.sys.Config().HostToPIMBandwidth
 	for k, d := range s.dpus {
@@ -185,197 +186,203 @@ func (e *Engine) healthyLanes(s *shard, seq uint64) []int {
 	return lanes
 }
 
-// restage rewrites the batch's inputs into the healthy lanes' MRAM
-// input buffers under the remapped ceil(n/len(lanes)) layout and
-// charges the extra rank-parallel transfer into the batch.
-func (e *Engine) restage(s *shard, b *batch, lanes []int, per int) {
-	flat := s.inBuf[b.slot]
-	for j, k := range lanes {
-		lo := j * per
-		if lo >= b.n {
-			break
-		}
-		hi := lo + per
-		if hi > b.n {
-			hi = b.n
-		}
-		s.dpus[k].MRAM.WriteF32s(s.inAddr[b.slot][k], flat[lo:hi])
-	}
+// restage charges re-shipping the batch's inputs to the healthy lanes
+// under the remapped ceil(n/len(lanes)) layout: one more rank-parallel
+// host→PIM transfer (the host staging copy stays bound).
+func (e *Engine) restage(b *batch, lanes []int, per int) {
 	padded := per * 4 * len(lanes)
 	e.sys.ChargeHostToPIM(padded, true)
 	b.tin += float64(padded) / e.sys.Config().HostToPIMBandwidth
 }
 
-// computeShardFaulty is the compute stage's body under fault
-// injection: ensure tables, scrub them, then walk the recovery ladder
-// — retry (fresh injector draws per attempt), remap onto healthy
-// lanes, hedge stragglers, and finally degrade to the host mirror.
-func (e *Engine) computeShardFaulty(s *shard, b *batch) {
-	if b.tr != nil {
-		b.tr.setupStart = time.Now()
-	}
-	ops, hit, setup, err := e.cache.ensure(b.spec, s)
-	if b.tr != nil {
-		b.tr.setupEnd = time.Now()
-	}
-	e.met.cachedSpecs.Set(int64(e.cache.size()))
-	if err != nil {
-		b.err = err
-		return
-	}
-	b.hit, b.setup = hit, setup
-
-	if b.tr != nil {
-		b.tr.kernStart = time.Now()
-		defer func() { b.tr.kernEnd = time.Now() }()
-	}
-	if e.inj.Active(faultsim.BitFlip) {
+// execute runs a planned batch phase by phase: launch the phase on the
+// shard's lanes, reduce the per-lane cycles to the slowest lane's, then
+// Sync (gather reductions, broadcast the scalars later phases read).
+// The recovery ladder is its only control flow; a clean run is rung 0
+// succeeding. A single-function plan climbs every rung — table scrub,
+// retry with backoff, remap onto healthy lanes, launch timeout, hedge —
+// while a fused program retries and then degrades; either kind's last
+// rung is the bit-exact host mirror.
+func (e *Engine) execute(s *shard, b *batch) {
+	ex := b.plan.ex
+	b.perDPU = b.plan.perDPU
+	ex.Bind(b.in, b.segs[0].req.pscalars, b.out, b.n, b.perDPU)
+	if b.plan.single && e.inj != nil && e.inj.Active(faultsim.BitFlip) {
 		e.captureGolden(s)
 		e.flipAndRepair(s, b)
 	}
 	if b.inFailed {
 		// Transfer-in never delivered the inputs to the cores; the host
 		// staging copy still has them.
-		e.degradeBatch(s, b, ops)
+		e.degrade(s, b)
 		return
 	}
+	sc := e.sys.Config()
+	for phi := 0; phi < ex.NumPhases(); phi++ {
+		if !e.launchPhase(s, b, phi) {
+			return
+		}
+		// These small transfers ride the plain charge paths even under
+		// injection — the ladder guards the bulk transfers and the
+		// launches.
+		gather, bcast := ex.Sync(phi)
+		if gather > 0 {
+			e.sys.ChargePIMToHost(gather, true)
+			b.tout += float64(gather) / sc.PIMToHostBandwidth
+			b.bytesOut += gather
+		}
+		if bcast > 0 {
+			e.sys.ChargeHostToPIM(bcast, true)
+			b.tin += float64(bcast) / sc.HostToPIMBandwidth
+			b.bytesIn += bcast
+		}
+	}
+}
 
-	base := s.ids[0]
-	minLanes := (b.n + s.capPerDPU - 1) / s.capPerDPU
-	staged := -1 // number of lanes the current MRAM layout targets; -1 = original full layout
-	for i := range s.failedLane {
-		s.failedLane[i] = false
+// launchPhase launches phase phi until an attempt succeeds, climbing
+// the ladder on each failure — a fresh injector draw per attempt — and
+// reports false when the batch ended instead: degraded to the host
+// mirror, or failed with a kernel error. Every attempt's slowest-lane
+// cycles are charged; failed attempts still burned them.
+func (e *Engine) launchPhase(s *shard, b *batch, phi int) bool {
+	full := b.plan.single && e.health != nil // the health-driven rungs
+	clock := e.sys.Config().ClockHz
+	stage := phaseStage(phi)
+	if b.plan.single {
+		stage = "kernel"
+	}
+	lanes, per := s.lanes, b.perDPU
+	staged := -1 // lane count of the current remapped layout; -1 = the full layout
+	if full {
+		clear(s.failedLane)
 	}
 	for attempt := uint64(0); ; attempt++ {
-		lanes := e.healthyLanes(s, b.seq)
-		if len(lanes) < minLanes {
-			e.degradeBatch(s, b, ops)
-			return
-		}
-		per := (b.n + len(lanes) - 1) / len(lanes)
-		remapped := len(lanes) < len(s.ids)
-		if remapped && len(lanes) != staged {
-			e.restage(s, b, lanes, per)
-			staged = len(lanes)
-			if !b.remapped {
-				b.remapped = true
-				e.met.remaps.Inc()
+		if full {
+			// The remap rung: launch only on the lanes the health
+			// tracker allows, re-laid over them and re-staged.
+			lanes = e.healthyLanes(s, b.seq)
+			if len(lanes) < (b.n+s.capPerDPU-1)/s.capPerDPU {
+				e.degrade(s, b)
+				return false
 			}
-		}
-
-		ids := s.launchIDs[:0]
-		for i := range s.chunkOf {
-			s.chunkOf[i] = -1
-		}
-		for j, k := range lanes {
-			ids = append(ids, s.ids[k])
-			s.chunkOf[k] = j
-			d := s.dpus[k]
-			s.issue0[j] = d.IssueCycles()
-			s.dma0[j] = d.DMACycles()
-		}
-		s.launchIDs = ids
-
-		if e.prof != nil {
-			stage := "kernel"
-			if remapped {
+			if p := (b.n + len(lanes) - 1) / len(lanes); p != per {
+				per = p
+				b.plan.ex.Bind(b.in, nil, b.out, b.n, per)
+			}
+			stage = "kernel"
+			if len(lanes) < len(s.ids) {
 				stage = "remap"
-			}
-			e.profContext(s, b, stage)
-		}
-		err := e.sys.LaunchShardSeq(b.seq, attempt, ids, func(ctx *pimsim.Ctx, id int) error {
-			ln := id - base
-			j := s.chunkOf[ln]
-			count := b.n - j*per
-			if count > per {
-				count = per
-			}
-			if count <= 0 {
-				return nil
-			}
-			e.computeCoreAt(ctx, s, b, ops[ln], ln, j, per, count)
-			return nil
-		})
-
-		// Account the attempt — failed attempts still burned the
-		// surviving lanes' cycles.
-		var mx uint64
-		slowest := 0
-		for j, k := range lanes {
-			d := s.dpus[k]
-			c := pimsim.ClosedFormCycles(d.IssueCycles()-s.issue0[j], d.DMACycles()-s.dma0[j], d.Tasklets())
-			s.deltas[j] = c
-			if c > mx {
-				mx, slowest = c, j
-			}
-		}
-
-		retry := false
-		var le *pimsim.LaunchError
-		switch {
-		case errors.As(err, &le):
-			for _, p := range le.Lanes {
-				s.failedLane[lanes[p]] = true
-				if e.health.RecordFailure(s.ids[lanes[p]], b.seq) && e.log != nil {
-					e.log.Warn("dpu quarantined",
-						"dpu", s.ids[lanes[p]], "shard", s.id, "seq", b.seq,
-						"cause", "launch_failure")
+				if len(lanes) != staged {
+					e.restage(b, lanes, per)
+					staged = len(lanes)
+					if !b.remapped {
+						b.remapped = true
+						e.met.remaps.Inc()
+					}
 				}
 			}
-			retry = true
-		case err != nil:
-			// A genuine kernel error is not recoverable by retry.
+		}
+
+		mx, slowest, err := e.launch(s, b, phi, attempt, lanes, stage)
+		timedOut := full && e.rel.LaunchTimeout > 0 && float64(mx)/clock > e.rel.LaunchTimeout
+		if err == nil && !timedOut {
+			if full {
+				mx = e.maybeHedge(s, b, lanes, per, mx)
+			}
 			b.cycles += mx
-			b.tcomp += float64(mx) / e.sys.Config().ClockHz
-			b.err = err
-			return
-		case e.rel.LaunchTimeout > 0 && float64(mx)/e.sys.Config().ClockHz > e.rel.LaunchTimeout:
+			b.tcomp += float64(mx) / clock
+			if full {
+				for _, k := range lanes {
+					// A lane that failed earlier in this batch keeps its
+					// streak: a retry succeeding elsewhere says nothing
+					// good about it.
+					if !s.failedLane[k] {
+						e.health.RecordSuccess(s.ids[k])
+					}
+				}
+				e.met.quarantined.Set(int64(e.health.QuarantinedCount()))
+				if b.remapped {
+					b.lanes = append(b.lanes[:0], lanes...)
+					b.perDPU = per
+				}
+			}
+			return true
+		}
+
+		b.cycles += mx
+		b.tcomp += float64(mx) / clock
+		if err != nil {
+			var le *pimsim.LaunchError
+			if !errors.As(err, &le) {
+				// A genuine kernel error is not recoverable by retry.
+				b.err = err
+				return false
+			}
+			if full {
+				for _, p := range le.Lanes {
+					e.laneFailed(s, b.seq, lanes[p], "launch_failure")
+				}
+			}
+		} else {
 			e.met.timeouts.Inc()
-			s.failedLane[lanes[slowest]] = true
 			if e.log != nil {
 				e.log.Warn("launch timeout",
 					"dpu", s.ids[lanes[slowest]], "shard", s.id, "seq", b.seq,
-					"modeled_s", float64(mx)/e.sys.Config().ClockHz,
-					"cutoff_s", e.rel.LaunchTimeout)
+					"modeled_s", float64(mx)/clock, "cutoff_s", e.rel.LaunchTimeout)
 			}
-			if e.health.RecordFailure(s.ids[lanes[slowest]], b.seq) && e.log != nil {
-				e.log.Warn("dpu quarantined",
-					"dpu", s.ids[lanes[slowest]], "shard", s.id, "seq", b.seq,
-					"cause", "timeout")
-			}
-			retry = true
+			e.laneFailed(s, b.seq, lanes[slowest], "timeout")
 		}
-
-		if retry {
-			b.cycles += mx
-			b.tcomp += float64(mx) / e.sys.Config().ClockHz
+		if full {
 			e.met.quarantined.Set(int64(e.health.QuarantinedCount()))
-			if attempt >= uint64(e.rel.MaxRetries) {
-				e.degradeBatch(s, b, ops)
-				return
-			}
-			b.retries++
-			e.met.launchRetries.Inc()
-			b.tcomp += e.rel.backoff(attempt + 1)
-			continue
 		}
+		if attempt >= uint64(e.rel.MaxRetries) {
+			e.degrade(s, b)
+			return false
+		}
+		b.retries++
+		e.met.launchRetries.Inc()
+		b.tcomp += e.rel.backoff(attempt + 1)
+	}
+}
 
-		mx = e.maybeHedge(s, b, ops, lanes, per, mx)
-		b.cycles += mx
-		b.tcomp += float64(mx) / e.sys.Config().ClockHz
-		for _, k := range lanes {
-			// A lane that failed earlier in this batch keeps its streak:
-			// a retry succeeding elsewhere says nothing good about it.
-			if !s.failedLane[k] {
-				e.health.RecordSuccess(s.ids[k])
-			}
+// launch runs phase phi of the batch's plan as one shard launch, chunk
+// j on lanes[j], and reduces the lanes' closed-form cycle deltas (kept
+// in s.deltas) to the slowest lane's — the batch's critical path.
+func (e *Engine) launch(s *shard, b *batch, phi int, attempt uint64, lanes []int, stage string) (mx uint64, slowest int, err error) {
+	ids := s.launchIDs[:0]
+	for j, k := range lanes {
+		ids = append(ids, s.ids[k])
+		s.chunkOf[k] = j
+		s.issue0[j], s.dma0[j] = s.dpus[k].IssueCycles(), s.dpus[k].DMACycles()
+	}
+	s.launchIDs = ids
+	if e.prof != nil {
+		e.profContext(s, b, stage)
+	}
+	ex, base, fast := b.plan.ex, s.ids[0], !e.cfg.Reference
+	err = e.sys.LaunchShardSeq(b.seq, attempt, ids, func(ctx *pimsim.Ctx, id int) error {
+		ln := id - base
+		ex.RunLane(ctx, phi, s.chunkOf[ln], ln, s.arena[ln], fast)
+		return nil
+	})
+	for j, k := range lanes {
+		d := s.dpus[k]
+		c := pimsim.ClosedFormCycles(d.IssueCycles()-s.issue0[j], d.DMACycles()-s.dma0[j], d.Tasklets())
+		s.deltas[j] = c
+		if c > mx {
+			mx, slowest = c, j
 		}
-		e.met.quarantined.Set(int64(e.health.QuarantinedCount()))
-		if b.remapped {
-			b.lanes = append(b.lanes[:0], lanes...)
-			b.perDPU = per
-		}
-		return
+	}
+	return mx, slowest, err
+}
+
+// laneFailed blames local lane k for a failure within batch seq on the
+// health tracker, which may quarantine it.
+func (e *Engine) laneFailed(s *shard, seq uint64, k int, cause string) {
+	s.failedLane[k] = true
+	if e.health.RecordFailure(s.ids[k], seq) && e.log != nil {
+		e.log.Warn("dpu quarantined",
+			"dpu", s.ids[k], "shard", s.id, "seq", seq, "cause", cause)
 	}
 }
 
@@ -384,7 +391,7 @@ func (e *Engine) computeShardFaulty(s *shard, b *batch) {
 // cheaper of the two runs (the kernel is idempotent: the relaunch
 // rewrites the same outputs). Returns the batch's effective
 // slowest-lane cycles.
-func (e *Engine) maybeHedge(s *shard, b *batch, ops []*core.Operator, lanes []int, per int, mx uint64) uint64 {
+func (e *Engine) maybeHedge(s *shard, b *batch, lanes []int, per int, mx uint64) uint64 {
 	if e.rel.HedgeRatio <= 1 || len(lanes) < 2 {
 		return mx
 	}
@@ -399,13 +406,8 @@ func (e *Engine) maybeHedge(s *shard, b *batch, ops []*core.Operator, lanes []in
 	if med == 0 || float64(deltas[slowest]) < e.rel.HedgeRatio*float64(med) {
 		return mx
 	}
-	k := lanes[slowest]
-	j := slowest
-	count := b.n - j*per
-	if count > per {
-		count = per
-	}
-	if count <= 0 {
+	k, j := lanes[slowest], slowest
+	if j*per >= b.n {
 		return mx
 	}
 	d := s.dpus[k]
@@ -416,7 +418,7 @@ func (e *Engine) maybeHedge(s *shard, b *batch, ops []*core.Operator, lanes []in
 	// A large attempt bias gives the hedge a fresh, independent draw
 	// stream that ordinary retries never reach.
 	err := e.sys.LaunchShardSeq(b.seq, uint64(e.rel.MaxRetries)+1000, []int{s.ids[k]}, func(ctx *pimsim.Ctx, id int) error {
-		e.computeCoreAt(ctx, s, b, ops[k], k, j, per, count)
+		b.plan.ex.RunLane(ctx, 0, j, k, s.arena[k], !e.cfg.Reference)
 		return nil
 	})
 	e.met.hedges.Inc()
@@ -456,50 +458,21 @@ func medianCycles(deltas, scratch []uint64) uint64 {
 	return sc[(len(sc)-1)/2]
 }
 
-// degradeBatch is the ladder's last rung: evaluate the batch on the
-// host-side mirrors (bit-exact with the device kernels by the PR-3
-// differential contract), charging a throwaway recorder so no device
-// cycles are accounted. Results land directly in the output staging
-// buffer and the batch is marked degraded.
-func (e *Engine) degradeBatch(s *shard, b *batch, ops []*core.Operator) {
-	xs := s.inBuf[b.slot][:b.n]
-	ys := s.outBuf[b.slot][:b.n]
-	ops[0].EvalBatch(s.rec, xs, ys)
+// degrade is the ladder's last rung: re-run the whole bound batch on
+// the host mirrors (bit-exact with the device kernels by the
+// differential contract) against a throwaway recorder, so no device
+// cycles are accounted. Results land in the bound outputs and the
+// batch is marked degraded.
+func (e *Engine) degrade(s *shard, b *batch) {
+	b.plan.ex.HostEval(s.rec)
 	b.degraded, b.hostEval = true, true
 	e.met.degraded.Inc()
 	if e.log != nil {
+		fn, method := b.segs[0].req.labels()
 		e.log.Warn("batch degraded to host mirror",
 			"shard", s.id, "seq", b.seq, "elements", b.n,
-			"fn", b.spec.Fn.String(), "method", b.spec.Par.Method.String(),
-			"retries", b.retries)
+			"fn", fn, "method", method, "retries", b.retries)
 	}
-}
-
-// computeCoreAt is computeCore generalized for remapping and hedging:
-// the serving lane ln (MRAM buffers, scratch, operator) is decoupled
-// from the batch chunk j it evaluates. computeCore is the ln == j
-// case.
-func (e *Engine) computeCoreAt(ctx *pimsim.Ctx, s *shard, b *batch, op *core.Operator, ln, j, per, count int) {
-	m := ctx.DPU().MRAM
-	in, out := s.inAddr[b.slot][ln], s.outAddr[b.slot][ln]
-	ctx.Charge(4)
-	ctx.ChargeDMA(count * 4)
-	if !e.cfg.Reference && op.HasFastPath() {
-		lo := j * per
-		xs := s.inBuf[b.slot][lo : lo+count]
-		ys := s.ys[ln][:count]
-		op.EvalBatchWith(ctx, xs, ys, s.arena[ln])
-		ctx.ChargeSig(&e.streamSig, uint64(count))
-		m.WriteF32s(out, ys)
-	} else {
-		for i := 0; i < count; i++ {
-			x := ctx.LoadStreamedF32(m, in+4*i)
-			y := op.Eval(ctx, x)
-			ctx.StoreStreamedF32(m, out+4*i, y)
-			ctx.Charge(2)
-		}
-	}
-	ctx.ChargeDMA(count * 4)
 }
 
 // FaultEvents returns the canonical injected-fault log (nil when

@@ -12,6 +12,18 @@ import (
 // front-end router can feed. The engine wires the default
 // implementations at construction; internal/cluster treats each engine
 // replica as one Executor and never reaches below this surface.
+//
+// Below the seams every batch takes one path. Transfer-in stages it on
+// the host (a program's arguments or a single request's slices bound in
+// place, a coalesced batch packed into the slot's flat buffers) and
+// charges the padded inputs. Compute resolves the batch's compiled plan
+// — a function batch runs its spec's one-node fusion program, a fused
+// request its own — and runs it through the one executor (execute in
+// reliability.go): per phase, launch, per-lane max-cycle reduction,
+// Sync, with the recovery ladder as its only control flow.
+// Single-function plans take every rung (scrub, retry, remap, timeout,
+// hedge, degrade); programs take retry and degrade. Transfer-out
+// charges the result and copies a coalesced batch's outputs back.
 
 // BatchPlanner packs same-spec requests into dispatchable batches. It
 // runs on the batcher goroutine; implementations must record each

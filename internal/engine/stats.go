@@ -238,9 +238,10 @@ func newMetrics(reg *telemetry.Registry, shards int) *metrics {
 	return m
 }
 
-// addBatch accounts one drained batch. bytesIn/bytesOut are zero for
-// failed batches.
-func (m *metrics) addBatch(b *batch, shardID, bytesIn, bytesOut int) {
+// addBatch accounts one drained batch, with the host↔PIM bytes it
+// metered.
+func (m *metrics) addBatch(b *batch, shardID int) {
+	bytesIn, bytesOut := b.bytesIn, b.bytesOut
 	m.batches.Inc()
 	m.elements.Add(uint64(b.n))
 	m.batchElems.Observe(float64(b.n))

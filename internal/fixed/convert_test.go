@@ -166,3 +166,38 @@ func TestConversionSpecials(t *testing.T) {
 		}
 	}
 }
+
+// TestFix64FromFloat32Edges pins the float32 → 64-bit fixed-point
+// conversion at the inputs Go leaves implementation-defined — NaN and
+// scaled magnitudes at or past 2^63 — to math.MinInt64, and checks the
+// values either side of the 2^63 boundary at the CORDIC kernels' 40
+// fraction bits.
+func TestFix64FromFloat32Edges(t *testing.T) {
+	const frac = 40
+	edge := float32(1 << (63 - frac)) // f·2^40 = 2^63
+	below := math.Nextafter32(edge, 0)
+	cases := []struct {
+		f    float32
+		want int64
+	}{
+		{float32(math.NaN()), math.MinInt64},
+		{float32(math.Inf(1)), math.MinInt64},
+		{float32(math.Inf(-1)), math.MinInt64},
+		{math.MaxFloat32, math.MinInt64},
+		{-math.MaxFloat32, math.MinInt64},
+		{edge, math.MinInt64},
+		{-edge, math.MinInt64},
+		{math.Nextafter32(edge, float32(math.Inf(1))), math.MinInt64},
+		{math.Nextafter32(-edge, float32(math.Inf(-1))), math.MinInt64},
+		{below, int64(float64(below) * (1 << frac))},
+		{-below, -int64(float64(below) * (1 << frac))},
+		{0, 0},
+		{-1.5, -3 << (frac - 1)},
+		{1.0 / 3, int64(float64(float32(1.0/3)) * (1 << frac))},
+	}
+	for _, c := range cases {
+		if got := Fix64FromFloat32(c.f, frac); got != c.want {
+			t.Errorf("Fix64FromFloat32(%v, %d) = %d, want %d", c.f, frac, got, c.want)
+		}
+	}
+}

@@ -89,6 +89,20 @@ func FromFloat32(f float32) Q3_28 {
 	return Q3_28(int32((s + m) - m))
 }
 
+// Fix64FromFloat32 converts f to a 64-bit fixed-point value with frac
+// fractional bits, truncating toward zero: int64(float64(f)·2^frac),
+// where the scale is exact. Go leaves that conversion implementation-
+// defined for NaN and for |f·2^frac| ≥ 2^63 (the CORDIC kernels'
+// 40-bit fractions reach it at |f| ≥ 2^23); those inputs convert to
+// math.MinInt64 on every platform, what amd64's CVTTSD2SQ produces.
+func Fix64FromFloat32(f float32, frac uint) int64 {
+	s := float64(f) * float64(uint64(1)<<frac)
+	if !(s >= -(1<<63) && s < 1<<63) {
+		return math.MinInt64
+	}
+	return int64(s)
+}
+
 // FromInt converts a small integer to Q3.28, saturating out-of-range
 // values.
 func FromInt(i int) Q3_28 {

@@ -9,7 +9,7 @@ import (
 	"transpimlib/internal/pimsim"
 )
 
-// progIDs mints unique program ids; the engine's program-plan cache
+// progIDs mints unique program ids; the engine's plan cache
 // keys on them.
 var progIDs atomic.Uint64
 

@@ -7,7 +7,7 @@ import (
 )
 
 // Exec is the per-(program, shard, batch-size) execution state the
-// engine's program-plan cache holds: resolved operator tables for every
+// engine's plan cache holds: resolved operator tables for every
 // Func node, the intermediate vector buffers that model MRAM residency,
 // the reduction partial slots, and the runtime scalar values. One Exec
 // serves one shard's compute stage at a time (the engine serializes per
@@ -24,6 +24,7 @@ type Exec struct {
 	// stand-in — in the fused path these never cross the host boundary).
 	vec   [][]float32
 	owned [][]float32
+	out   []float32 // bound output slice; a scalar result lands in out[0]
 
 	scalars []float32 // by node id, valid when ready
 	ready   []bool
@@ -65,12 +66,14 @@ func (ex *Exec) SetOps(i int, ops []*core.Operator) { ex.ops[i] = ops }
 
 // Bind attaches a batch: the caller's input vectors (aliased, not
 // copied — the host-staging convention), the runtime scalar values, the
-// output slice (aliased for a vector result; ignored for a scalar
-// result, which ScalarResult returns after the last Sync), the element
-// count and the per-lane chunk size from the shard plan.
+// output slice (aliased for a vector result; for a scalar result the
+// last Sync stores the value in out[0] when out is non-empty), the
+// element count and the per-lane chunk size from the shard plan.
+// Rebinding with a different chunk size re-lays the batch over fewer
+// lanes (the engine's remap).
 func (ex *Exec) Bind(inputs [][]float32, scalars []float32, out []float32, n, per int) {
 	ex.n, ex.per = n, per
-	ex.sin = scalars
+	ex.sin, ex.out = scalars, out
 	c := ex.c
 	for i, nd := range c.nodes {
 		if !c.live[i] || nd.scalar || nd.kind == nReduce {
@@ -141,17 +144,20 @@ func (ex *Exec) evalScalars() {
 	}
 }
 
-// RunLane executes phase phi's fused kernel loop for one lane's chunk
-// through ctx, charging exactly what the device loop would: kernel
-// entry, the broadcast-scalar reads, one MRAM stream-in per external
-// vector operand, the per-element op work, the per-element streaming
-// overhead, and one MRAM stream-out per materialized vector. Lanes own
+// RunLane executes phase phi's fused kernel loop for chunk (the
+// element window [chunk·per, (chunk+1)·per)) on serving lane lane,
+// whose operator tables it reads, through ctx — charging exactly what
+// the device loop would: kernel entry, the broadcast-scalar reads, one
+// MRAM stream-in per external vector operand, the per-element op work,
+// the per-element streaming overhead, and one MRAM stream-out per
+// materialized vector. Chunk and lane coincide except when the engine
+// remaps a batch onto healthy lanes or hedges a straggler. Chunks own
 // disjoint element windows and disjoint partial slots, so concurrent
-// RunLane calls for different lanes are safe. fast selects the PR 3/8
+// RunLane calls for different chunks are safe. fast selects the
 // bulk-signature path; false walks the interpreted per-element
 // reference — outputs and cycle totals are bit-identical either way.
-func (ex *Exec) RunLane(ctx *pimsim.Ctx, phi, lane int, arena *lut.Scratch, fast bool) {
-	lo := lane * ex.per
+func (ex *Exec) RunLane(ctx *pimsim.Ctx, phi, chunk, lane int, arena *lut.Scratch, fast bool) {
+	lo := chunk * ex.per
 	if lo >= ex.n {
 		return
 	}
@@ -230,7 +236,7 @@ func (ex *Exec) RunLane(ctx *pimsim.Ctx, phi, lane int, arena *lut.Scratch, fast
 					acc = fop.ReduceEval(ctx, st.rop, acc, x)
 				}
 			}
-			ex.partials[st.redIdx][lane] = acc
+			ex.partials[st.redIdx][chunk] = acc
 			fop.ChargeScalarStore(ctx, 1)
 		}
 	}
@@ -244,8 +250,8 @@ func (ex *Exec) RunLane(ctx *pimsim.Ctx, phi, lane int, arena *lut.Scratch, fast
 // partials (combining only lanes that held data, in lane order — the
 // same order the per-op baseline combines, so scalars match bit for
 // bit), evaluates the host scalar expressions that became computable,
-// and returns the host↔PIM bytes the sync moved (gather in, broadcast
-// back out).
+// stores a scalar result after the last phase, and returns the
+// host↔PIM bytes the sync moved (gather in, broadcast back out).
 func (ex *Exec) Sync(phi int) (gatherBytes, bcastBytes int) {
 	c := ex.c
 	ph := &c.phases[phi]
@@ -264,13 +270,11 @@ func (ex *Exec) Sync(phi int) (gatherBytes, bcastBytes int) {
 		}
 		ex.evalScalars()
 	}
+	if c.retScalar && phi == len(c.phases)-1 && len(ex.out) > 0 {
+		ex.out[0] = ex.scalars[c.ret]
+	}
 	return 4 * ex.lanes * len(ph.reduces), 4 * ex.lanes * len(ph.bcastAfter)
 }
-
-// ScalarResult returns the program's scalar return value after the
-// final Sync (only meaningful when ScalarResult() is true on the
-// program).
-func (ex *Exec) ScalarResult() float32 { return ex.scalars[ex.c.ret] }
 
 // HostEval re-runs the whole bound batch sequentially on the host
 // mirror — the bottom rung of the recovery ladder. Charges go to ctx
@@ -278,14 +282,13 @@ func (ex *Exec) ScalarResult() float32 { return ex.scalars[ex.c.ret] }
 // partially-faulted run leaves no residue, and the outputs land in the
 // same bound slices, bit-identical to a clean device run. It runs the
 // fast path with a nil arena: Func nodes then evaluate through the
-// operators' unmetered host mirrors (the degradeBatch convention) —
-// the interpreted path would read LUT tables through ctx's DPU, and
+// operators' unmetered host mirrors — the interpreted path would read LUT tables through ctx's DPU, and
 // the recorder's core holds none.
 func (ex *Exec) HostEval(ctx *pimsim.Ctx) {
 	ex.resetScalars()
 	for phi := range ex.c.phases {
 		for lane := 0; lane < ex.lanes; lane++ {
-			ex.RunLane(ctx, phi, lane, nil, true)
+			ex.RunLane(ctx, phi, lane, lane, nil, true)
 		}
 		ex.Sync(phi)
 	}

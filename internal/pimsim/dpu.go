@@ -342,7 +342,7 @@ func (c *Ctx) FFromBits(b uint32) float32 { c.charge(OpCtrl, c.m.Move); return f
 func (c *Ctx) F32ToFix64(f float32, frac uint) int64 {
 	c.charge(OpConv, c.m.FToI)
 	c.charge(OpI64, c.m.I64Shl)
-	return int64(float64(f) * float64(uint64(1)<<frac))
+	return fixed.Fix64FromFloat32(f, frac)
 }
 
 // Fix64ToF32 converts a 64-bit fixed-point value back to float32,
