@@ -328,6 +328,55 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	})
 }
 
+// --- Many concurrent clients on one shard: 1K sigmoid requests from
+// 8×GOMAXPROCS goroutines, with every observer off and on. The
+// serving-layer overhead (queueing, coalescing, per-request finishing
+// work) dominates at this size; elems/s is the headline metric. ---
+
+func BenchmarkEngineConcurrent(b *testing.B) {
+	const n = 1024
+	xs := make([]float32, n)
+	for i := range xs {
+		xs[i] = -6 + 12*float32(i)/float32(n)
+	}
+	spec := Config{Method: LLUT, Interpolated: true, SizeLog2: 12}
+
+	run := func(b *testing.B, cfg EngineConfig) {
+		eng, err := NewEngine(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer eng.Close()
+		if _, _, err := eng.EvaluateBatch(Sigmoid, spec, xs); err != nil {
+			b.Fatal(err) // warm the table cache
+		}
+		b.SetParallelism(8)
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if _, _, err := eng.EvaluateBatch(Sigmoid, spec, xs); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "elems/s")
+	}
+
+	b.Run("observers-off", func(b *testing.B) {
+		run(b, EngineConfig{DPUs: 4, Shards: 1})
+	})
+	b.Run("observers-on", func(b *testing.B) {
+		run(b, EngineConfig{
+			DPUs: 4, Shards: 1,
+			TraceDepth: 64,
+			Ledger:     true,
+			Profiler:   ProfilerConfig{Enabled: true},
+			Accuracy:   AccuracyConfig{Enabled: true},
+		})
+	})
+}
+
 // --- SoA mirror kernels: host ns per element of Lib.EvalSlice at 1K
 // elements for the three specs of the serve-1k benchmark mix, inputs
 // uniform over each function's domain. The kernel floor under every

@@ -2,15 +2,15 @@
 // engine and writes the retained request span trees as a Chrome
 // trace_event JSON file, loadable in about:tracing or Perfetto
 // (ui.perfetto.dev). Each request becomes one process row (pid =
-// trace id); within it, spans land on the shard's track (tid), so the
-// enqueue → transfer-in → setup → kernel → transfer-out pipeline and
-// the double-buffer overlap between consecutive batches are visible
-// on a real timeline.
+// trace id); within it, spans land on the shard's track (tid), so each
+// batch's enqueue → transfer-in → setup → kernel → transfer-out
+// sequence on its shard, and the concurrency across shards, are
+// visible on a real timeline.
 //
 // With -replicas N > 1 the workload runs through a routed cluster
 // instead: each trace is then one connected tree — the cluster root
 // span, its placement-ladder attempts, and the serving replica's
-// pipeline spans grafted underneath — and the Chrome encoding lays
+// batch spans grafted underneath — and the Chrome encoding lays
 // the rows out per process ("cluster", "replica/<i>").
 //
 // Usage:
@@ -39,7 +39,7 @@ import (
 func main() {
 	out := flag.String("o", "trace.json", "output file (- for stdout)")
 	dpus := flag.Int("dpus", 8, "simulated PIM cores")
-	shards := flag.Int("shards", 2, "pipeline shards")
+	shards := flag.Int("shards", 2, "engine shards")
 	clients := flag.Int("clients", 4, "concurrent client goroutines")
 	requests := flag.Int("requests", 8, "requests per client")
 	elems := flag.Int("elems", 2048, "elements per request")

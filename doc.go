@@ -31,7 +31,8 @@
 // multi-core PIM system: it caches table setup per (function, method,
 // size, placement) so repeated requests skip the setup cost, coalesces
 // concurrent small requests into batches sharded across core groups,
-// and pipelines host→PIM transfer against kernel execution:
+// and runs each batch to completion — transfer-in, kernel,
+// transfer-out — on one goroutine per shard:
 //
 //	eng, err := transpimlib.NewEngine(transpimlib.EngineConfig{DPUs: 8})
 //	...

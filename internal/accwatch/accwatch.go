@@ -232,7 +232,7 @@ type Exemplar struct {
 }
 
 // Watcher is the online accuracy monitor. Create with New; Sample is
-// safe for concurrent use from the engine's drain stages.
+// safe for concurrent use from the engine's concurrent callers.
 type Watcher struct {
 	cfg Config
 	log *slog.Logger

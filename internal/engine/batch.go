@@ -11,7 +11,7 @@ import (
 // request is one in-flight EvaluateBatch call. A request may be split
 // into several batches (when larger than MaxBatch) and may share a
 // batch with other requests (when coalesced); it completes when its
-// last segment drains.
+// last segment's batch completes.
 type request struct {
 	spec Spec
 	// tenant attributes the request's shadow samples to a
@@ -32,11 +32,11 @@ type request struct {
 	pscalars []float32
 
 	mu        sync.Mutex
-	remaining int // segments not yet drained
+	remaining int // segments not yet completed
 	err       error
 	stats     RequestStats
 
-	// sloBreached is set by the drain stage's shadow-sampling hook
+	// sloBreached is set by finishRequest's shadow-sampling hook
 	// when this request's samples closed a window that failed an
 	// accuracy SLO; buildTrace annotates the root span with it. The
 	// request is quiescent when it is written (see finishRequest).
@@ -56,17 +56,17 @@ type request struct {
 	trace     *telemetry.Trace
 }
 
-// batchRef pairs a drained batch with its wall-clock stage stamps for
-// trace assembly.
+// batchRef pairs a completed batch with its wall-clock stage stamps
+// for trace assembly.
 type batchRef struct {
 	b  *batch
 	tr *batchTrace
 }
 
-// complete records one drained batch against the request. It reports
-// whether this was the request's last outstanding segment; the caller
-// (the drain stage) finishes the request — latency observation, trace
-// assembly, closing done — outside the lock.
+// complete records one completed batch against the request. It reports
+// whether this was the request's last outstanding segment; the shard
+// then closes done, and the released caller finishes the request
+// (finishRequest).
 func (r *request) complete(b *batch, shardID int) (last bool) {
 	r.mu.Lock()
 	if b.err != nil && r.err == nil {
@@ -122,9 +122,9 @@ type seg struct {
 	n   int
 }
 
-// batch is the pipeline's unit of work: same-spec segments coalesced
-// up to MaxBatch elements, dispatched to one shard, and carried
-// through transfer-in → compute → transfer-out.
+// batch is the engine's unit of work: same-spec segments coalesced
+// up to MaxBatch elements, dispatched to one shard, and run there to
+// completion: transfer-in → kernel → transfer-out.
 type batch struct {
 	spec Spec
 	segs []seg
@@ -134,8 +134,7 @@ type batch struct {
 	// clock fault-injection decisions key on. Assigned by the batcher.
 	seq uint64
 
-	// Set by the pipeline stages.
-	slot   int     // shard buffer slot held while in flight
+	// Set by the serving shard.
 	perDPU int     // elements per lane of the layout the batch ran on
 	hit    bool    // tables were resident on the serving shard
 	setup  float64 // modeled setup charged (cache miss only)
@@ -159,13 +158,13 @@ type batch struct {
 
 	// Host staging, decided at transfer-in: in/out are what the plan's
 	// Exec binds — a program's own arguments, a single-segment batch's
-	// request slices, or a coalesced batch's flat slot buffers. in1
-	// backs in for function batches.
+	// request slices, or a coalesced batch's packing in the shard's flat
+	// buffers. in1 backs in for function batches.
 	in  [][]float32
 	in1 [1][]float32
 	out []float32
 
-	// plan is the compiled plan the compute stage resolved (plan.go).
+	// plan is the compiled plan the shard resolved (plan.go).
 	plan *batchPlan
 
 	// Reliability outcomes (fault injection only; see reliability.go).
@@ -182,8 +181,8 @@ type batch struct {
 	tr *batchTrace
 }
 
-// batchPool recycles drained batches (and their segment slices) so the
-// steady-state pipeline allocates nothing per batch. Traced batches
+// batchPool recycles completed batches (and their segment slices) so
+// the steady state allocates nothing per batch. Traced batches
 // are retained by request span trees and bypass the pool.
 var batchPool = sync.Pool{New: func() any { return new(batch) }}
 
@@ -197,7 +196,7 @@ func newBatch(spec Spec) *batch {
 	return b
 }
 
-// releaseBatch returns a fully drained batch to the pool. Batches with
+// releaseBatch returns a completed batch to the pool. Batches with
 // trace stamps are kept alive by their requests' traces and must not
 // be recycled.
 func releaseBatch(b *batch) {

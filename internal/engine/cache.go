@@ -54,7 +54,7 @@ func newTableCache() *tableCache {
 // plus broadcast on the first build, broadcast only for an extra
 // shard, zero on a hit).
 //
-// ensure is called from a shard's compute stage, which owns the
+// ensure is called from a shard's goroutine, which owns the
 // shard's cores, so loading tables into their memories is safe. The
 // entry lock is held across the build: concurrent requests for the
 // same spec on other shards wait for the generation artifact instead
@@ -74,7 +74,7 @@ func (c *tableCache) ensure(spec Spec, s *shard) (ops []*core.Operator, hit bool
 		return ops, true, 0, nil
 	}
 	// Building loads tables into the shard's core memories; only the
-	// shard's compute stage touches them, so no memory lock is needed.
+	// shard's goroutine touches them, so no memory lock is needed.
 	set, err := core.BuildSet(spec.Fn, spec.Par, s.dpus)
 	if err != nil {
 		return nil, false, 0, err

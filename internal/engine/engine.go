@@ -8,28 +8,29 @@
 // cost entirely; it coalesces concurrent small requests into batches
 // and shards each batch across a group of PIM cores with equal-size
 // (padded) per-bank buffers, preserving the parallel-transfer
-// semantics of §2.1; and it pipelines host→PIM transfer against
-// kernel execution with a bounded buffer-slot pool per shard
-// (transfer-in / compute / transfer-out stages, backpressure all the
-// way to the caller). Every request reports its wall-clock latency
-// plus the modeled per-stage costs; the engine accumulates fleet-wide
-// counters.
+// semantics of §2.1. Each shard is one goroutine that runs a batch to
+// completion — transfer-in, kernel, transfer-out — the way the paper's
+// host driver populates, launches and reads back; shards run in
+// parallel, and a bounded submit queue carries backpressure to the
+// caller. Every request reports its wall-clock latency plus the
+// modeled per-stage costs; the engine accumulates fleet-wide counters.
 //
 // Every batch — a function request (alone or coalesced), a fused
 // program, clean or under fault injection, fast or Reference — runs one
 // way: as a compiled fusion program (a function batch is its spec's
 // one-node program) through one executor, whose only control flow is
 // the recovery ladder (reliability.go). Batches stage on the host: the
-// kernels read and write the requests' slices or a slot's flat
+// kernels read and write the requests' slices or the shard's flat
 // buffers while the simulator charges exactly the modeled DMA and
 // transfer costs of the MRAM round trip, so outputs and cycles are
 // those of the device kernel.
 //
-// Concurrency discipline (see pimsim.System): each shard's cores are
-// owned by that shard's compute stage, the only stage that touches
-// their memories (table builds, scrubbing, kernels); the transfer
-// clock is shared and internally locked; the transfer stages touch
-// only host staging buffers, owned by the batch holding the slot.
+// Concurrency discipline (see pimsim.System): each shard's cores and
+// host staging buffers are owned by that shard's goroutine, the only
+// one that touches their memories (table builds, scrubbing, kernels);
+// the transfer clock is shared and internally locked. A caller finishes
+// its own request — latency, ledger row, accuracy sample, trace — after
+// the shard that completed its last segment releases it.
 package engine
 
 import (
@@ -56,10 +57,10 @@ var ErrEngineClosed = errors.New("engine: closed")
 type Config struct {
 	// DPUs is the total number of simulated PIM cores (default 8).
 	DPUs int
-	// Shards is the number of independent pipeline groups the cores
-	// are divided into; batches are load-balanced across shards. DPUs
-	// must be divisible by Shards. Default: 2 when DPUs is even and
-	// >1, else 1.
+	// Shards is the number of independent shards (one goroutine each)
+	// the cores are divided into; batches are load-balanced across
+	// shards. DPUs must be divisible by Shards. Default: 2 when DPUs is
+	// even and >1, else 1.
 	Shards int
 	// MaxBatch is the largest number of elements dispatched as one
 	// batch (default 4096). Larger requests are split; smaller
@@ -72,9 +73,6 @@ type Config struct {
 	// QueueDepth bounds the submit queue; callers block (backpressure)
 	// when it is full. Default 64.
 	QueueDepth int
-	// Buffers is the number of MRAM I/O buffer slots per shard; 2 (the
-	// default) double-buffers transfer-in against compute.
-	Buffers int
 	// Cost selects the machine profile (zero value: the UPMEM-like
 	// default).
 	Cost pimsim.CostModel
@@ -89,13 +87,13 @@ type Config struct {
 	Profile bool
 	// Profiler enables the continuous modeled-cycle profiler: every
 	// kernel launch is attributed to (tenant, function, method,
-	// pipeline stage / program phase, instruction class) frames with
+	// launch stage / program phase, instruction class) frames with
 	// per-DPU utilization heatmaps, exported at /debug/profile and
 	// /debug/heatmap (see internal/profiler). Disabled (the zero
 	// value), the launch path is unchanged — the simulator pays the
 	// same single atomic nil-observer load as with Profile off.
 	Profiler profiler.Config
-	// Reference forces the compute stage through the per-element
+	// Reference forces every kernel through the per-element
 	// interpreted kernel instead of the fused batch fast path — the
 	// escape hatch for differential debugging. Cycle accounting and
 	// outputs are bit-identical either way (the contract the
@@ -105,7 +103,7 @@ type Config struct {
 	// injector (see internal/faultsim) and activates the engine's
 	// recovery ladder: retry with modeled backoff, health-aware shard
 	// remapping, optional hedged launches, and host-mirror degradation.
-	// Nil (or a plan that never fires) leaves the pipeline bit-identical
+	// Nil (or a plan that never fires) leaves the engine bit-identical
 	// to the fault-free engine.
 	Faults *faultsim.Plan
 	// Reliability tunes the recovery ladder; zero value = defaults.
@@ -119,13 +117,13 @@ type Config struct {
 	// serving path is bit-identical to an engine without it — one nil
 	// check per completed request, no allocation.
 	Accuracy accwatch.Config
-	// Ledger enables the per-tenant cost ledger: every drained batch
+	// Ledger enables the per-tenant cost ledger: every completed batch
 	// charges its modeled kernel cycles, transfer bytes and elements to
 	// the (tenant, function, method) row of the requests it carried,
 	// with exact integer partitioning — the ledger's cycle total
 	// reconciles ±0 against the simulator's attributed cycles. Disabled
-	// (the default), the drain path pays one nil check per batch and
-	// the serving path is bit-identical.
+	// (the default), a shard pays one nil check per batch and the
+	// serving path is bit-identical.
 	Ledger bool
 	// Timeline enables the windowed metrics store: a background ticker
 	// snapshots the registry into fixed-width buckets served at
@@ -159,31 +157,27 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	if c.Buffers <= 0 {
-		c.Buffers = 2
-	}
 	if c.Cost == (pimsim.CostModel{}) {
 		c.Cost = pimsim.Default()
 	}
 	return c
 }
 
-// shard is one pipeline group: a contiguous range of cores with its
-// own buffer slots and stage channels.
+// shard is one serving group: a contiguous range of cores with its
+// own host staging buffers, driven by one goroutine (serveShard).
 type shard struct {
 	id   int
 	ids  []int // global core ids (contiguous)
 	dpus []*pimsim.DPU
 
-	capPerDPU int // elements per core per slot
+	capPerDPU int // elements per core of the largest batch
 
-	// inBuf/outBuf are [slot] flat host staging buffers in core-major
+	// inBuf/outBuf are the flat host staging buffers in core-major
 	// order (core k owns [k·perDPU, (k+1)·perDPU)), sized
 	// capPerDPU·cores: a coalesced batch's segments pack into them with
-	// contiguous copies. A slot's staging is owned by the batch holding
-	// the slot.
-	inBuf  [][]float32
-	outBuf [][]float32
+	// contiguous copies.
+	inBuf  []float32
+	outBuf []float32
 	// arena is per-local-core classifier scratch for the fused batch
 	// kernels' SoA lanes, pre-grown to capPerDPU at construction so
 	// steady-state batches allocate nothing. Indexed by serving lane,
@@ -201,13 +195,9 @@ type shard struct {
 	failedLane                []bool
 
 	// lctx is the profiler's launch context: written by this shard's
-	// compute goroutine immediately before each launch, read by the
-	// observer on the same goroutine. Unused when profiling is off.
+	// goroutine immediately before each launch, read by the observer on
+	// the same goroutine. Unused when profiling is off.
 	lctx profiler.LaunchContext
-
-	slots chan int    // free buffer slots (the double-buffer pool)
-	mid   chan *batch // transfer-in → compute
-	out   chan *batch // compute → transfer-out
 
 	// Reliability state, allocated only when fault injection is on
 	// (see reliability.go). rec is a throwaway recorder Ctx for
@@ -238,13 +228,6 @@ type Engine struct {
 	plans   *planCache
 	fnMu    sync.Mutex
 	fnProgs map[Spec]*fusion.Compiled
-
-	// bplan/splan are the pipeline's stage seams (see stages.go): the
-	// batcher plans batches through bplan, the transfer stages plan
-	// lane layouts through splan. New installs the defaults; they are
-	// behavioral constants of a running engine, never swapped live.
-	bplan BatchPlanner
-	splan ShardPlanner
 
 	submit   chan *request
 	dispatch chan *batch
@@ -282,8 +265,8 @@ type Engine struct {
 }
 
 // New builds and starts an engine: the PIM system, the per-shard
-// staging buffers and MRAM reservations, the batcher, and the three
-// pipeline stages per shard.
+// staging buffers and MRAM reservations, the batcher, and one goroutine
+// per shard.
 func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if cfg.DPUs%cfg.Shards != 0 {
@@ -295,8 +278,6 @@ func New(cfg Config) (*Engine, error) {
 		cache:    newTableCache(),
 		plans:    newPlanCache(defaultPlanCacheLimit),
 		fnProgs:  make(map[Spec]*fusion.Compiled),
-		bplan:    coalescePlanner{},
-		splan:    paddedPlanner{},
 		submit:   make(chan *request, cfg.QueueDepth),
 		dispatch: make(chan *batch, cfg.Shards),
 	}
@@ -365,9 +346,8 @@ func New(cfg Config) (*Engine, error) {
 		s := &shard{
 			id:         sID,
 			capPerDPU:  capPerDPU,
-			slots:      make(chan int, cfg.Buffers),
-			mid:        make(chan *batch, 1),
-			out:        make(chan *batch, 1),
+			inBuf:      make([]float32, capPerDPU*perShard),
+			outBuf:     make([]float32, capPerDPU*perShard),
 			launchIDs:  make([]int, 0, perShard),
 			chunkOf:    make([]int, perShard),
 			issue0:     make([]uint64, perShard),
@@ -379,27 +359,19 @@ func New(cfg Config) (*Engine, error) {
 			id := sID*perShard + k
 			s.ids = append(s.ids, id)
 			s.lanes = append(s.lanes, k)
-			s.dpus = append(s.dpus, e.sys.DPU(id))
+			d := e.sys.DPU(id)
+			s.dpus = append(s.dpus, d)
+			// Batches stage on the host, but each lane keeps its modeled
+			// MRAM input and output buffers reserved, so table placement,
+			// scrub offsets and capacity are those of the device kernel's
+			// memory map.
+			d.MRAM.MustAlloc(capPerDPU * 4)
+			d.MRAM.MustAlloc(capPerDPU * 4)
 			sc := new(lut.Scratch)
 			sc.Grow(capPerDPU)
 			sc.GrowQ(capPerDPU)
 			sc.GrowT(capPerDPU)
 			s.arena = append(s.arena, sc)
-		}
-		s.inBuf = make([][]float32, cfg.Buffers)
-		s.outBuf = make([][]float32, cfg.Buffers)
-		for slot := 0; slot < cfg.Buffers; slot++ {
-			s.inBuf[slot] = make([]float32, capPerDPU*perShard)
-			s.outBuf[slot] = make([]float32, capPerDPU*perShard)
-			for _, d := range s.dpus {
-				// Batches stage on the host, but each slot keeps its
-				// modeled MRAM input and output buffers reserved, so table
-				// placement, scrub offsets and capacity are those of the
-				// device kernel's memory map.
-				d.MRAM.MustAlloc(capPerDPU * 4)
-				d.MRAM.MustAlloc(capPerDPU * 4)
-			}
-			s.slots <- slot
 		}
 		if e.inj != nil {
 			s.rec = pimsim.NewSigRecorder(cfg.Cost)
@@ -418,13 +390,10 @@ func New(cfg Config) (*Engine, error) {
 		}
 		e.shards = append(e.shards, s)
 	}
-	e.wg.Add(1)
+	e.wg.Add(1 + len(e.shards))
 	go e.batcher()
 	for _, s := range e.shards {
-		e.wg.Add(3)
-		go e.stageTransferIn(s)
-		go e.stageCompute(s)
-		go e.stageTransferOut(s)
+		go e.serveShard(s)
 	}
 	return e, nil
 }
@@ -472,8 +441,8 @@ func (e *Engine) CachedPlans() int { return e.plans.size() }
 // retuning its fit). The next request for the spec rebuilds; every
 // compiled batch plan self-invalidates via the bumped table-cache
 // generation, so in-flight batches finish on the old tables (which
-// physically remain — PIM memories never free) and no pipeline stage
-// is paused. Returns whether tables were resident. Safe for
+// physically remain — PIM memories never free) and no shard is
+// paused. Returns whether tables were resident. Safe for
 // concurrent use with serving traffic.
 func (e *Engine) InvalidateTables(fn core.Function, p core.Params) bool {
 	ok := e.cache.invalidate(makeSpec(fn, p))
@@ -507,8 +476,8 @@ func (e *Engine) AccuracyViolations() []accwatch.Violation {
 // EvaluateBatch evaluates fn(x) for every x under the given method
 // parameters and returns the outputs with the request's cost report.
 // It blocks until the result is complete (internally the work is
-// batched, sharded and pipelined with concurrent callers). Safe for
-// concurrent use.
+// batched and sharded with concurrent callers). Safe for concurrent
+// use.
 func (e *Engine) EvaluateBatch(fn core.Function, p core.Params, xs []float32) ([]float32, RequestStats, error) {
 	return e.EvaluateBatchTenant("", fn, p, xs)
 }
@@ -534,10 +503,10 @@ func (e *Engine) EvaluateBatchTraced(tenant string, traceID uint64, fn core.Func
 	return e.evaluate(tenant, traceID, true, fn, p, xs)
 }
 
-// evaluate is the shared submit path behind the EvaluateBatch
-// variants. extID, when nonzero, overrides the trace ring's minted ID;
-// wantTrace asks finishRequest to hand the assembled span tree back on
-// the request.
+// evaluate is the shared front end of the EvaluateBatch variants.
+// extID, when nonzero, overrides the trace ring's minted ID; wantTrace
+// asks finishRequest to hand the assembled span tree back on the
+// request.
 func (e *Engine) evaluate(tenant string, extID uint64, wantTrace bool, fn core.Function, p core.Params, xs []float32) ([]float32, RequestStats, *telemetry.Trace, error) {
 	spec := makeSpec(fn, p)
 	if !spec.Par.Method.Supports(fn) {
@@ -553,27 +522,37 @@ func (e *Engine) evaluate(tenant string, extID uint64, wantTrace bool, fn core.F
 		outputs:   make([]float32, len(xs)),
 		extID:     extID,
 		wantTrace: wantTrace,
-		enqueued:  time.Now(),
-		done:      make(chan struct{}),
 	}
-	r.stats.CacheHit = true // cleared by the first miss
+	if err := e.roundTrip(r); err != nil {
+		return nil, RequestStats{}, nil, err
+	}
+	return r.outputs, r.stats, r.trace, r.err
+}
 
+// roundTrip submits r, waits for the shard that completes its last
+// segment to release it, and finishes it on the calling goroutine. It
+// fails only with ErrEngineClosed, before submitting; the request's
+// own outcome is r.err.
+func (e *Engine) roundTrip(r *request) error {
+	r.enqueued = time.Now()
+	r.done = make(chan struct{})
+	r.stats.CacheHit = true // cleared by the first miss
 	e.mu.RLock()
 	if e.closed {
 		e.mu.RUnlock()
-		return nil, RequestStats{}, nil, ErrEngineClosed
+		return ErrEngineClosed
 	}
 	e.met.requests.Inc()
 	e.submit <- r
 	e.met.queueDepth.Set(int64(len(e.submit)))
 	e.mu.RUnlock()
-
 	<-r.done
-	return r.outputs, r.stats, r.trace, r.err
+	e.finishRequest(r)
+	return nil
 }
 
-// Close drains in-flight work and stops the pipeline. Subsequent
-// EvaluateBatch calls fail.
+// Close drains in-flight work and stops the batcher and the shards.
+// Subsequent EvaluateBatch calls fail.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	if e.closed {
@@ -665,7 +644,7 @@ func (e *Engine) batcher() {
 		}
 		e.met.queueDepth.Set(int64(len(e.submit)))
 		for _, spec := range order {
-			for _, b := range e.bplan.Plan(spec, bySpec[spec], e.cfg.MaxBatch) {
+			for _, b := range planBatches(spec, bySpec[spec], e.cfg.MaxBatch) {
 				e.seq++
 				b.seq = e.seq
 				if e.tracer != nil {
@@ -696,24 +675,23 @@ func (e *Engine) batcher() {
 	}
 }
 
-// stageTransferIn is a shard's first pipeline stage: claim a buffer
-// slot (blocking until the drain stage recycles one — the
-// double-buffer backpressure), stage the batch on the host, and charge
-// the rank-parallel host→PIM transfer. Staging binds a fused program's
-// arguments or a single-segment batch's request slices in place and
-// packs a coalesced batch's segments into the slot's flat buffer with
-// contiguous copies. It overlaps with the compute stage working on the
-// previous batch in another slot.
-func (e *Engine) stageTransferIn(s *shard) {
+// serveShard is a shard's only goroutine: it runs each dispatched
+// batch to completion, then completes the batch's requests. Staging
+// binds a fused program's arguments or a single-segment batch's request
+// slices in place and packs a coalesced batch's segments into the
+// shard's flat buffer with contiguous copies; then the rank-parallel
+// host→PIM charge, the plan resolution (the plan and table cache
+// hit/miss point), the executor (reliability.go), the PIM→host charge
+// and a coalesced batch's copy-back. The trace stamps are separate
+// clock reads so each span covers exactly its own work.
+func (e *Engine) serveShard(s *shard) {
 	defer e.wg.Done()
-	defer close(s.mid)
 	for b := range e.dispatch {
-		b.slot = <-s.slots
 		if b.tr != nil {
 			b.tr.shard = s.id
 			b.tr.inStart = time.Now()
 		}
-		_, inBytes := e.splan.Plan(b.n, len(s.dpus))
+		_, inBytes := shardPlan(b.n, len(s.dpus))
 		sg := b.segs[0]
 		switch {
 		case b.prog != nil:
@@ -723,31 +701,17 @@ func (e *Engine) stageTransferIn(s *shard) {
 			b.in1[0] = sg.req.inputs[sg.off : sg.off+sg.n]
 			b.in, b.out = b.in1[:], sg.req.outputs[sg.off:sg.off+sg.n]
 		default:
-			flat := s.inBuf[b.slot][:b.n]
 			idx := 0
 			for _, sg := range b.segs {
-				idx += copy(flat[idx:], sg.req.inputs[sg.off:sg.off+sg.n])
+				idx += copy(s.inBuf[idx:], sg.req.inputs[sg.off:sg.off+sg.n])
 			}
-			b.in1[0] = flat
-			b.in, b.out = b.in1[:], s.outBuf[b.slot][:b.n]
+			b.in1[0] = s.inBuf[:b.n]
+			b.in, b.out = b.in1[:], s.outBuf[:b.n]
 		}
 		e.chargeTransferIn(b, inBytes)
 		b.bytesIn = inBytes
 		if b.tr != nil {
 			b.tr.inEnd = time.Now()
-		}
-		s.mid <- b
-	}
-}
-
-// stageCompute is a shard's second stage: resolve the batch's compiled
-// plan — the plan and table cache hit/miss point — then run it through
-// the executor (reliability.go).
-func (e *Engine) stageCompute(s *shard) {
-	defer e.wg.Done()
-	defer close(s.out)
-	for b := range s.mid {
-		if b.tr != nil {
 			b.tr.setupStart = time.Now()
 		}
 		b.plan, b.err = e.resolvePlan(s, b)
@@ -763,17 +727,6 @@ func (e *Engine) stageCompute(s *shard) {
 				b.tr.kernEnd = time.Now()
 			}
 		}
-		s.out <- b
-	}
-}
-
-// stageTransferOut is a shard's third stage: charge the PIM→host
-// transfer of the result, copy a coalesced batch's outputs from the
-// slot's staging buffer to its segments, recycle the buffer slot, and
-// complete the batch's requests.
-func (e *Engine) stageTransferOut(s *shard) {
-	defer e.wg.Done()
-	for b := range s.out {
 		if b.tr != nil {
 			b.tr.outStart = time.Now()
 		}
@@ -799,28 +752,27 @@ func (e *Engine) stageTransferOut(s *shard) {
 		if b.tr != nil {
 			b.tr.outEnd = time.Now()
 		}
-		s.slots <- b.slot
 		e.met.addBatch(b, s.id)
 		if e.led != nil {
 			e.chargeLedger(b)
 		}
 		for _, sg := range b.segs {
 			if sg.req.complete(b, s.id) {
-				e.finishRequest(sg.req)
+				close(sg.req.done)
 			}
 		}
 		releaseBatch(b)
 	}
 }
 
-// finishRequest runs on the drain stage after a request's last
-// segment completed and before its caller is released: observe the
-// latency, count request-level errors (the per-request view the batch
-// counter can't give), shadow-sample the outputs for accuracy
-// monitoring, assemble and publish the trace, then close done. The
-// request is quiescent here — every other stage is finished with it
-// and the caller is still parked on done — so the reads and the
-// TraceID write need no lock.
+// finishRequest runs on the caller's goroutine once its request's last
+// segment completed: observe the latency, count request-level errors
+// (the per-request view the batch counter can't give), charge the
+// ledger's request row, shadow-sample the outputs for accuracy
+// monitoring, and assemble and publish the trace. The request is
+// quiescent here — every shard is finished with it — so the reads and
+// the TraceID write need no lock, and this work overlaps the shards'
+// next batches instead of delaying them.
 func (e *Engine) finishRequest(r *request) {
 	end := time.Now()
 	e.met.latency.Observe(r.stats.Latency.Seconds())
@@ -849,7 +801,7 @@ func (e *Engine) finishRequest(r *request) {
 	// reference function, so programs skip accuracy sampling.
 	if e.acc != nil && r.err == nil && r.prog == nil {
 		// The shadow sampler only reads inputs/outputs; it never
-		// touches the pipeline, so modeled cycles and outputs are
+		// touches the shards, so modeled cycles and outputs are
 		// untouched whether it runs or not.
 		lo, hi := r.spec.Fn.Domain()
 		out := e.acc.Sample(accwatch.Request{
@@ -872,7 +824,6 @@ func (e *Engine) finishRequest(r *request) {
 		}
 		e.tracer.Push(tr)
 	}
-	close(r.done)
 }
 
 // methodLabel renders a request's method the way tplaccuracy labels

@@ -3,12 +3,16 @@ package engine
 import (
 	"errors"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"transpimlib/internal/accwatch"
 	"transpimlib/internal/core"
 	"transpimlib/internal/pimsim"
+	"transpimlib/internal/profiler"
 	"transpimlib/internal/stats"
 )
 
@@ -136,9 +140,37 @@ func TestWarmCheaperThanCold(t *testing.T) {
 
 // TestConcurrentMixedRequests drives many goroutines with a mixed
 // sigmoid/GELU/exp workload across 2 shards — the -race regression
-// for the serving pipeline.
+// for the serving pipeline. The "observers" row turns every observer
+// on, holds a batch window so requests coalesce and a small MaxBatch so
+// they split, and reconciles the observers against each other and the
+// outputs against a Reference engine fed the same inputs serially.
 func TestConcurrentMixedRequests(t *testing.T) {
-	e, err := New(Config{DPUs: 4, Shards: 2, MaxBatch: 128, QueueDepth: 8})
+	const goroutines = 12
+	const rounds = 6
+	rows := []struct {
+		name      string
+		cfg       Config
+		observers bool
+	}{
+		{"plain", Config{DPUs: 4, Shards: 2, MaxBatch: 128, QueueDepth: 8}, false},
+		{"observers", Config{
+			DPUs: 4, Shards: 2, MaxBatch: 64, QueueDepth: 8,
+			BatchWindow: time.Millisecond,
+			TraceDepth:  goroutines * rounds,
+			Ledger:      true,
+			Profiler:    profiler.Config{Enabled: true},
+			Accuracy:    accwatch.Config{Enabled: true, SampleRate: 1.0},
+		}, true},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			testConcurrentMixedRequests(t, row.cfg, row.observers, goroutines, rounds)
+		})
+	}
+}
+
+func testConcurrentMixedRequests(t *testing.T, cfg Config, observers bool, goroutines, rounds int) {
+	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +187,13 @@ func TestConcurrentMixedRequests(t *testing.T) {
 		{core.GELU, core.Params{Method: core.DLLUT, Interp: true, SizeLog2: 12}, -7.9, 7.9, 1e-2},
 		{core.Exp, core.Params{Method: core.LLUTFixed, Interp: true, SizeLog2: 12}, -2.5, 2.5, 1e-2},
 	}
-	const goroutines = 12
-	const rounds = 6
+	inputs := func(g, r int) []float32 {
+		sp := specs[(g+r)%len(specs)]
+		return stats.RandomInputs(sp.lo, sp.hi, 50+7*g, uint64(g*100+r))
+	}
+	outs := make([][]float32, goroutines*rounds)
+	traceIDs := make([]uint64, goroutines*rounds)
+	var split atomic.Bool
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
@@ -165,7 +202,7 @@ func TestConcurrentMixedRequests(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				sp := specs[(g+r)%len(specs)]
-				xs := stats.RandomInputs(sp.lo, sp.hi, 50+7*g, uint64(g*100+r))
+				xs := inputs(g, r)
 				ys, st, err := e.EvaluateBatch(sp.fn, sp.par, xs)
 				if err != nil {
 					errs <- err
@@ -186,6 +223,10 @@ func TestConcurrentMixedRequests(t *testing.T) {
 					t.Errorf("g%d r%d: no latency recorded", g, r)
 					return
 				}
+				outs[g*rounds+r], traceIDs[g*rounds+r] = ys, st.TraceID
+				if st.Batches > 1 {
+					split.Store(true)
+				}
 			}
 		}(g)
 	}
@@ -196,7 +237,7 @@ func TestConcurrentMixedRequests(t *testing.T) {
 	}
 
 	s := e.Stats()
-	if s.Requests != goroutines*rounds {
+	if s.Requests != uint64(goroutines*rounds) {
 		t.Fatalf("requests = %d, want %d", s.Requests, goroutines*rounds)
 	}
 	// Tables exist on at most shards × specs: builds are bounded by
@@ -206,6 +247,59 @@ func TestConcurrentMixedRequests(t *testing.T) {
 	}
 	if e.CachedSpecs() != len(specs) {
 		t.Fatalf("cached specs = %d, want %d", e.CachedSpecs(), len(specs))
+	}
+	if !observers {
+		return
+	}
+
+	if s.CoalescedBatches == 0 {
+		t.Error("no batch carried more than one request")
+	}
+	if !split.Load() {
+		t.Error("no request was split across batches")
+	}
+	var ledCycles, ledReqs uint64
+	for _, r := range e.Ledger().Rows {
+		ledCycles += r.KernelCycles
+		ledReqs += r.Requests
+	}
+	p, _ := e.ProfileSnapshot()
+	if ledCycles != s.KernelCycles || p.TotalWall != s.KernelCycles {
+		t.Errorf("kernel cycles: ledger %d, engine %d, profiler %d; want all equal",
+			ledCycles, s.KernelCycles, p.TotalWall)
+	}
+	if ledReqs != uint64(goroutines*rounds) {
+		t.Errorf("ledger requests = %d, want %d", ledReqs, goroutines*rounds)
+	}
+	traced := make(map[uint64]bool)
+	for _, tr := range e.Traces() {
+		traced[tr.ID] = true
+	}
+	for i, id := range traceIDs {
+		if id == 0 || !traced[id] {
+			t.Errorf("request %d: trace id %d not among the retained traces", i, id)
+		}
+	}
+
+	ref, err := New(Config{DPUs: 4, Shards: 2, Reference: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	for g := 0; g < goroutines; g++ {
+		for r := 0; r < rounds; r++ {
+			sp := specs[(g+r)%len(specs)]
+			want, _, err := ref.EvaluateBatch(sp.fn, sp.par, inputs(g, r))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := outs[g*rounds+r]
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("g%d r%d [%d]: %v, reference engine %v", g, r, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 
@@ -280,7 +374,10 @@ func TestUnsupportedSpec(t *testing.T) {
 	}
 }
 
-// TestClose checks shutdown drains cleanly and rejects later calls.
+// TestClose checks shutdown drains cleanly and rejects later calls,
+// then closes an engine under sixteen looping callers: every call
+// returns a correct result or ErrEngineClosed, none hangs, and the
+// engine's goroutines are all gone afterwards.
 func TestClose(t *testing.T) {
 	e, err := New(Config{DPUs: 2, Shards: 1})
 	if err != nil {
@@ -294,6 +391,62 @@ func TestClose(t *testing.T) {
 	e.Close() // idempotent
 	if _, _, err := e.EvaluateBatch(fn, par, []float32{0.5}); !errors.Is(err, ErrEngineClosed) {
 		t.Fatalf("EvaluateBatch after Close = %v, want ErrEngineClosed", err)
+	}
+
+	before := runtime.NumGoroutine()
+	e, err = New(Config{DPUs: 4, Shards: 2, MaxBatch: 64, QueueDepth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 16
+	ref := fn.Ref()
+	var served atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; ; r++ {
+				xs := stats.RandomInputs(-7.9, 7.9, 1+(g*37+r*11)%150, uint64(g*1000+r))
+				ys, _, err := e.EvaluateBatch(fn, par, xs)
+				if errors.Is(err, ErrEngineClosed) {
+					return
+				}
+				if err != nil {
+					t.Errorf("caller %d call %d: %v", g, r, err)
+					return
+				}
+				if len(ys) != len(xs) {
+					t.Errorf("caller %d call %d: %d outputs for %d inputs", g, r, len(ys), len(xs))
+					return
+				}
+				for i, x := range xs {
+					if diff := math.Abs(float64(ys[i]) - ref(float64(x))); diff > 1e-3 {
+						t.Errorf("caller %d call %d: %v(%v) diff %g > 1e-3", g, r, fn, x, diff)
+						return
+					}
+				}
+				served.Add(1)
+			}
+		}(g)
+	}
+	for served.Load() < callers && !t.Failed() {
+		time.Sleep(time.Millisecond)
+	}
+	e.Close()
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(10 * time.Second):
+		t.Fatal("callers still blocked 10 s after Close")
+	}
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after Close, %d before New", n, before)
 	}
 }
 

@@ -71,8 +71,8 @@ func TestFastPathMatchesReference(t *testing.T) {
 // plan compiled, staging and scratch buffers constructed), running a
 // lane's share of a batch through the cached plan's Exec allocates
 // nothing — whether the batch binds a request's own slices (a
-// single-segment batch) or a slot's flat staging buffers (a coalesced
-// one).
+// single-segment batch) or the shard's flat staging buffers (a
+// coalesced one).
 func TestRunLaneZeroAlloc(t *testing.T) {
 	e, err := New(Config{DPUs: 1, Shards: 1, MaxBatch: 256})
 	if err != nil {
@@ -96,13 +96,13 @@ func TestRunLaneZeroAlloc(t *testing.T) {
 	ys := make([]float32, 256)
 	ctx := s.dpus[0].NewCtx()
 	// The pipeline is idle (the warmup request completed), so driving
-	// the plan and slot 0 directly is safe.
+	// the plan and the staging buffers directly is safe.
 	for _, c := range []struct {
 		name    string
 		in, out []float32
 	}{
 		{"in-place", xs, ys},
-		{"flat", s.inBuf[0][:256], s.outBuf[0][:256]},
+		{"flat", s.inBuf[:256], s.outBuf[:256]},
 	} {
 		copy(c.in, xs)
 		p.ex.Bind([][]float32{c.in}, nil, c.out, 256, p.perDPU)

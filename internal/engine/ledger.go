@@ -14,15 +14,15 @@ func MethodLabel(p core.Params) string { return methodLabel(p) }
 // Config.Ledger is off.
 func (e *Engine) Ledger() telemetry.LedgerSnapshot { return e.led.Snapshot() }
 
-// chargeLedger attributes one drained batch to the (tenant, function,
+// chargeLedger attributes one completed batch to the (tenant, function,
 // method) rows of the requests it carried. Integer quantities — kernel
 // cycles and transfer bytes, charged per batch at its slowest-lane
 // granularity — are split across segments by exact prefix
 // partitioning: segment i takes total·cum_i/n − total·cum_{i−1}/n,
 // so the shares always sum to the batch total and the ledger's cycle
 // column reconciles ±0 against the simulator's attributed cycles.
-// Runs on the drain-stage goroutine, where every batch field is
-// quiescent.
+// Runs on the serving shard's goroutine after the batch's last
+// charge, where every batch field is quiescent.
 func (e *Engine) chargeLedger(b *batch) {
 	fn, method := b.segs[0].req.labels()
 	bytesIn, bytesOut := b.bytesIn, b.bytesOut

@@ -26,7 +26,7 @@ type planKey struct {
 // pins the table-cache generation the plan was compiled against; a
 // table hot-swap bumps the generation and lazily invalidates every
 // outstanding plan on its next lookup. An Exec holds per-batch bound
-// state, but a shard's compute stage runs one batch at a time and plans
+// state, but a shard's goroutine runs one batch at a time and plans
 // are keyed by shard, so a plan never serves two batches concurrently.
 type batchPlan struct {
 	ex     *fusion.Exec
@@ -156,7 +156,7 @@ func (e *Engine) resolvePlan(s *shard, b *batch) (*batchPlan, error) {
 	b.hit, b.setup = hit, setup
 	// The generation was read before ensure: a hot-swap racing the
 	// build leaves the plan stale, and the next lookup recompiles it.
-	per, _ := e.splan.Plan(b.n, len(s.dpus))
+	per, _ := shardPlan(b.n, len(s.dpus))
 	p := &batchPlan{ex: ex, single: b.prog == nil, perDPU: per, gen: gen}
 	if evicted := e.plans.store(key, p); evicted > 0 {
 		e.met.planEvictions.Add(uint64(evicted))

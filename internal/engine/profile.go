@@ -42,7 +42,7 @@ func newKernelProfiler(reg *telemetry.Registry, dpus int) *kernelProfiler {
 }
 
 // observe is the pimsim.LaunchObserver: it runs after each
-// LaunchShard on the launching goroutine (one shard's compute stage),
+// LaunchShard on the launching goroutine (one shard's goroutine),
 // so concurrent shards contend only on the atomic counters.
 func (p *kernelProfiler) observe(prof pimsim.LaunchProfile) {
 	p.launches.Inc()

@@ -9,7 +9,7 @@ import (
 
 // Profiler wiring: the collector consumes the same pimsim launch
 // observer the metrics kernelProfiler uses, plus a per-shard
-// LaunchContext the compute stage fills immediately before each
+// LaunchContext the shard's goroutine fills immediately before each
 // LaunchShard. The observer runs synchronously on the launching
 // goroutine, so the context handoff needs no lock; contexts live one
 // per shard because shards launch concurrently.
@@ -45,7 +45,7 @@ func (e *Engine) observeLaunch(prof pimsim.LaunchProfile) {
 
 // profContext fills the shard's launch context from the batch about to
 // launch: function/method labels matching the cost ledger's convention
-// (so profile cycles reconcile row-for-row), the pipeline stage (or
+// (so profile cycles reconcile row-for-row), the launch stage (or
 // fused-program phase), and the tenant segments in ledger order. The
 // Segs slice is reused; steady state allocates nothing.
 func (e *Engine) profContext(s *shard, b *batch, stage string) {

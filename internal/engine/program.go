@@ -2,21 +2,19 @@ package engine
 
 import (
 	"fmt"
-	"time"
 
 	"transpimlib/internal/core"
 	"transpimlib/internal/fusion"
 )
 
 // This file is the engine's fused-program front end: a compiled
-// fusion.Program rides the same submit → batcher → transfer-in →
-// compute → transfer-out pipeline and the same executor as ordinary
-// requests (which run as one-node programs), but one batch carries the
-// whole program. Its intermediate vectors never cross the host
-// boundary — transfer-in ships the input vectors (plus the initial
-// scalar broadcasts) once, each phase is one fused kernel launch, the
-// 4-byte-per-lane reduction syncs are the only mid-program traffic, and
-// transfer-out ships only the result. The per-op baseline
+// fusion.Program rides the same submit → batcher → shard path and the
+// same executor as ordinary requests (which run as one-node programs),
+// but one batch carries the whole program. Its intermediate vectors
+// never cross the host boundary — transfer-in ships the input vectors
+// (plus the initial scalar broadcasts) once, each phase is one fused
+// kernel launch, the 4-byte-per-lane reduction syncs are the only
+// mid-program traffic, and transfer-out ships only the result. The per-op baseline
 // (EvaluateProgramPerOp) pays a full round trip per node through the
 // ordinary paths instead; outputs are bit-identical between the two.
 
@@ -106,22 +104,10 @@ func (e *Engine) EvaluateProgramTenant(tenant string, c *fusion.Compiled, inputs
 		pscalars: scalars,
 		tenant:   tenant,
 		outputs:  make([]float32, outLen),
-		enqueued: time.Now(),
-		done:     make(chan struct{}),
 	}
-	r.stats.CacheHit = true
-
-	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
-		return nil, ProgramStats{}, ErrEngineClosed
+	if err := e.roundTrip(r); err != nil {
+		return nil, ProgramStats{}, err
 	}
-	e.met.requests.Inc()
-	e.submit <- r
-	e.met.queueDepth.Set(int64(len(e.submit)))
-	e.mu.RUnlock()
-
-	<-r.done
 	k := e.cfg.DPUs / e.cfg.Shards
 	st := ProgramStats{RequestStats: r.stats}
 	st.FusedBytes = c.FusedBytes(n, k)

@@ -17,7 +17,7 @@ import (
 // degradation onto the bit-exact host mirrors. Single-function plans
 // take every rung; fused programs take retry and degrade. With
 // injection disabled the first attempt always succeeds and the
-// pipeline is bit-identical to the fault-free engine.
+// engine is bit-identical to the fault-free one.
 
 // engineFaultAgent adapts the faultsim injector to the simulator's
 // FaultAgent hook, counting injected faults into the engine metrics.
@@ -55,7 +55,7 @@ func (a *engineFaultAgent) Transfer(seq, attempt uint64, out bool) bool {
 // chargeTransferIn is the checked host→PIM charge with bounded retry:
 // every attempt (failed ones included) costs the transfer time, each
 // retry adds the modeled backoff. Exhaustion marks the batch so the
-// compute stage degrades it to the host mirror — the inputs are still
+// executor degrades it to the host mirror — the inputs are still
 // in host staging, so no result is lost. Without injection the first
 // attempt always succeeds: the plain rank-parallel charge.
 func (e *Engine) chargeTransferIn(b *batch, padded int) {

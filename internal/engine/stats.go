@@ -13,7 +13,7 @@ import (
 // seconds); Latency is host wall-clock.
 type RequestStats struct {
 	// Latency is the wall-clock time from enqueue to completion,
-	// including queueing, coalescing and all pipeline stages.
+	// including queueing, coalescing and the batches' execution.
 	Latency time.Duration
 	// ShardID is the shard that served the request (the last one, for
 	// requests split across several batches).
@@ -238,7 +238,7 @@ func newMetrics(reg *telemetry.Registry, shards int) *metrics {
 	return m
 }
 
-// addBatch accounts one drained batch, with the host↔PIM bytes it
+// addBatch accounts one completed batch, with the host↔PIM bytes it
 // metered.
 func (m *metrics) addBatch(b *batch, shardID int) {
 	bytesIn, bytesOut := b.bytesIn, b.bytesOut

@@ -8,34 +8,34 @@ import (
 )
 
 // batchTrace carries the wall-clock stage stamps of one batch while
-// it moves through a shard's pipeline. It is allocated only when
-// tracing is enabled (batch.tr stays nil otherwise, so the disabled
-// path never calls time.Now on the stage goroutines), and each field
-// is written by exactly one stage goroutine before the batch is
-// handed to the next stage — the channel send is the happens-before
-// edge, so the drain stage reads a fully stamped struct.
+// its shard runs it. It is allocated only when tracing is enabled
+// (batch.tr stays nil otherwise, so the disabled path never calls
+// time.Now on the shard goroutines). Every field is written by the
+// serving shard's goroutine before it closes the done channel of a
+// request the batch completes — the close is the happens-before edge,
+// so finishRequest reads a fully stamped struct.
 type batchTrace struct {
 	shard int
 
-	inStart, inEnd       time.Time // stageTransferIn: scatter + charge
-	setupStart, setupEnd time.Time // stageCompute: cache ensure (≈0 on a hit)
-	kernStart, kernEnd   time.Time // stageCompute: LaunchShard
-	outStart, outEnd     time.Time // stageTransferOut: gather + charge
+	inStart, inEnd       time.Time // host staging + transfer-in charge
+	setupStart, setupEnd time.Time // plan and cache resolve (≈0 on a hit)
+	kernStart, kernEnd   time.Time // the executor's launches
+	outStart, outEnd     time.Time // transfer-out charge + copy-back
 }
 
 // buildTrace assembles a completed request's span tree:
 //
 //	request
 //	├─ queue              (enqueue → first batch picked up)
-//	├─ batch[k]           (one per pipeline batch the request rode in)
+//	├─ batch[k]           (one per batch the request rode in)
 //	│  ├─ transfer_in     wall + modeled host→PIM seconds
 //	│  ├─ setup           cache ensure; modeled generation+broadcast
 //	│  ├─ kernel          wall + modeled cycles/seconds
 //	│  └─ transfer_out    gather + modeled PIM→host seconds
 //	└─ error              terminal span, present only on failure
 //
-// It runs on the drain-stage goroutine after the request's last
-// segment completed, so every field it reads is quiescent.
+// It runs on the caller's goroutine after the request's last segment
+// completed, so every field it reads is quiescent.
 func buildTrace(r *request, id uint64, end time.Time, proc string) *telemetry.Trace {
 	root := &telemetry.Span{
 		Name:  "request",

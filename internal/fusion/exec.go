@@ -10,7 +10,7 @@ import (
 // engine's plan cache holds: resolved operator tables for every
 // Func node, the intermediate vector buffers that model MRAM residency,
 // the reduction partial slots, and the runtime scalar values. One Exec
-// serves one shard's compute stage at a time (the engine serializes per
+// serves one shard's goroutine at a time (the engine serializes per
 // shard); Bind rebinds it to each batch.
 type Exec struct {
 	c     *Compiled

@@ -63,7 +63,7 @@ type Seg struct {
 	N      int
 }
 
-// LaunchContext carries the labels the engine's compute stage knows
+// LaunchContext carries the labels the engine's shard goroutine knows
 // and the simulator does not: which function/method the kernel serves,
 // which pipeline stage (or fused-program phase) is launching, and the
 // tenant segments the batch carries. The launching goroutine writes it
@@ -76,11 +76,6 @@ type LaunchContext struct {
 	Stage    string
 	Segs     []Seg
 	N        int // total elements across Segs
-}
-
-// Set fills the context in place, reusing the Segs backing array.
-func (lc *LaunchContext) Set(function, method, stage string) {
-	lc.Function, lc.Method, lc.Stage = function, method, stage
 }
 
 // frameKey identifies one leaf of the attribution tree.
@@ -205,7 +200,7 @@ func (c *Collector) Close() {
 
 // Observe is the launch observer body: attribute one launch's counter
 // deltas to the context's frames. It runs synchronously on the
-// launching goroutine (one shard's compute stage), so distinct shards
+// launching goroutine (one shard's goroutine), so distinct shards
 // contend only on the frame map's read lock and the cells' atomics.
 func (c *Collector) Observe(lc *LaunchContext, prof pimsim.LaunchProfile) {
 	if c == nil || len(prof.Cores) == 0 {
