@@ -68,8 +68,9 @@ type EngineConfig struct {
 	// tree, with per-DPU issue/DMA/idle heatmap accounting over a ring
 	// of time windows. Read it via Engine.Profile*, /debug/profile
 	// (folded flamegraph text, pprof profile.proto, or JSON), and
-	// /debug/heatmap. Profiler.Enabled false (the default) leaves the
-	// hot path untouched — no observer is installed.
+	// /debug/heatmap. It reads the executor's per-launch record, the
+	// same one Profile's pim_* series read. Profiler.Enabled false (the
+	// default) costs a launch one nil check.
 	Profiler ProfilerConfig
 	// Reference forces the per-element interpreted compute kernel
 	// instead of the fused batch fast path. Outputs and modeled cycles

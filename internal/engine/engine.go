@@ -82,16 +82,17 @@ type Config struct {
 	TraceDepth int
 	// Profile enables per-DPU kernel-launch profiling: instruction-
 	// class cycle counters and per-core kernel cycles accumulate into
-	// the telemetry registry (pim_* series). Off by default; when off,
-	// the simulator pays one atomic nil-check per launch.
+	// the telemetry registry (pim_* series), read from the executor's
+	// per-launch record. Off by default; when off, a launch pays one
+	// nil check.
 	Profile bool
 	// Profiler enables the continuous modeled-cycle profiler: every
 	// kernel launch is attributed to (tenant, function, method,
 	// launch stage / program phase, instruction class) frames with
 	// per-DPU utilization heatmaps, exported at /debug/profile and
-	// /debug/heatmap (see internal/profiler). Disabled (the zero
-	// value), the launch path is unchanged — the simulator pays the
-	// same single atomic nil-observer load as with Profile off.
+	// /debug/heatmap (see internal/profiler). It reads the same
+	// per-launch record as Profile. Disabled (the zero value), a launch
+	// pays one nil check, as with Profile off.
 	Profiler profiler.Config
 	// Reference forces every kernel through the per-element
 	// interpreted kernel instead of the fused batch fast path — the
@@ -187,16 +188,19 @@ type shard struct {
 	// The executor's per-launch scratch, persistent so steady-state
 	// batches allocate nothing: lanes lists every local lane (the
 	// full layout); launchIDs/chunkOf are the current launch's core ids
-	// and lane → chunk map; issue0/dma0/deltas its per-lane cycle
-	// baselines and deltas; failedLane the lanes that failed within the
-	// current batch (see reliability.go).
+	// and lane → chunk map; cores holds each launched lane's accounting
+	// snapshot before the launch and its delta after it (the launch
+	// record the profiling sinks read); deltas the lanes' closed-form
+	// cycles; failedLane the lanes that failed within the current batch
+	// (see reliability.go).
 	lanes, launchIDs, chunkOf []int
-	issue0, dma0, deltas      []uint64
+	cores                     []pimsim.CoreProfile
+	deltas                    []uint64
 	failedLane                []bool
 
-	// lctx is the profiler's launch context: written by this shard's
-	// goroutine immediately before each launch, read by the observer on
-	// the same goroutine. Unused when profiling is off.
+	// lctx is the profiler's launch context, filled after each launch
+	// and passed to Collector.Observe; kept per shard so its Segs slice
+	// is reused. Unused when profiling is off.
 	lctx profiler.LaunchContext
 
 	// Reliability state, allocated only when fault injection is on
@@ -259,9 +263,11 @@ type Engine struct {
 	led      *telemetry.Ledger
 	timeline *telemetry.Timeline
 
+	// kprof feeds the pim_* kernel metrics, nil unless Config.Profile;
 	// prof is the modeled-cycle profiler's collector, nil unless
-	// Config.Profiler.Enabled.
-	prof *profiler.Collector
+	// Config.Profiler.Enabled. Both read launch's per-lane record.
+	kprof *kernelProfiler
+	prof  *profiler.Collector
 }
 
 // New builds and starts an engine: the PIM system, the per-shard
@@ -303,17 +309,8 @@ func New(cfg Config) (*Engine, error) {
 		e.tel.ProfileHandler = profiler.ProfileHandler(sources)
 		e.tel.HeatmapHandler = profiler.HeatmapHandler(sources)
 	}
-	switch {
-	case cfg.Profile && e.prof != nil:
-		kp := newKernelProfiler(reg, cfg.DPUs)
-		e.sys.SetLaunchObserver(func(prof pimsim.LaunchProfile) {
-			kp.observe(prof)
-			e.observeLaunch(prof)
-		})
-	case cfg.Profile:
-		e.sys.SetLaunchObserver(newKernelProfiler(reg, cfg.DPUs).observe)
-	case e.prof != nil:
-		e.sys.SetLaunchObserver(e.observeLaunch)
+	if cfg.Profile {
+		e.kprof = newKernelProfiler(reg, cfg.DPUs)
 	}
 	e.log = cfg.Log
 	if cfg.Faults != nil && cfg.Faults.Enabled() {
@@ -350,8 +347,7 @@ func New(cfg Config) (*Engine, error) {
 			outBuf:     make([]float32, capPerDPU*perShard),
 			launchIDs:  make([]int, 0, perShard),
 			chunkOf:    make([]int, perShard),
-			issue0:     make([]uint64, perShard),
-			dma0:       make([]uint64, perShard),
+			cores:      make([]pimsim.CoreProfile, perShard),
 			deltas:     make([]uint64, perShard),
 			failedLane: make([]bool, perShard),
 		}

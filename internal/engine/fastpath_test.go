@@ -113,3 +113,29 @@ func TestRunLaneZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestProfileAllocsMatchOff: the pim_* kernel metrics read the
+// executor's persistent per-lane record, so turning Profile on adds no
+// allocation to a warm request.
+func TestProfileAllocsMatchOff(t *testing.T) {
+	fn, par := llutSpec()
+	xs := stats.RandomInputs(-7.9, 7.9, 1024, 5)
+	allocs := func(profile bool) float64 {
+		e, err := New(Config{DPUs: 4, Shards: 1, Profile: profile})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		if _, _, err := e.EvaluateBatch(fn, par, xs); err != nil {
+			t.Fatal(err) // warm: tables built, plan compiled
+		}
+		return testing.AllocsPerRun(200, func() {
+			if _, _, err := e.EvaluateBatch(fn, par, xs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if off, on := allocs(false), allocs(true); on != off {
+		t.Fatalf("warm 1K request: %.1f allocs with Profile, %.1f with observers off", on, off)
+	}
+}

@@ -7,13 +7,12 @@ import (
 	"transpimlib/internal/telemetry"
 )
 
-// kernelProfiler accumulates pimsim per-launch core profiles into the
-// telemetry registry: instruction-class operation/cycle totals (the
+// kernelProfiler accumulates the executor's per-launch core deltas into
+// the telemetry registry: instruction-class operation/cycle totals (the
 // paper's Fig.-7-style mul/shift/load/branch breakdown, live) and
 // per-DPU kernel/DMA cycle attribution. All counters are pre-created
-// at construction so the observer itself — which runs on the compute
-// stage once per launch — does no allocation and takes no registry
-// lock.
+// at construction so observe — called by launch once per launch on the
+// shard's goroutine — does no allocation and takes no registry lock.
 type kernelProfiler struct {
 	launches *telemetry.Counter
 	opOps    []*telemetry.Counter // per OpClass
@@ -41,9 +40,8 @@ func newKernelProfiler(reg *telemetry.Registry, dpus int) *kernelProfiler {
 	return p
 }
 
-// observe is the pimsim.LaunchObserver: it runs after each
-// LaunchShard on the launching goroutine (one shard's goroutine),
-// so concurrent shards contend only on the atomic counters.
+// observe adds one launch's per-core deltas. Concurrent shards contend
+// only on the atomic counters.
 func (p *kernelProfiler) observe(prof pimsim.LaunchProfile) {
 	p.launches.Inc()
 	for i := range prof.Cores {

@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"transpimlib/internal/core"
+	"transpimlib/internal/pimsim"
 	"transpimlib/internal/profiler"
 	"transpimlib/internal/stats"
 )
@@ -261,5 +263,101 @@ func TestProfilerCoalescedTenantsSplitExactly(t *testing.T) {
 		if got := profByTenant[tn]; got != want {
 			t.Errorf("tenant %q: profile wall %d != ledger cycles %d", tn, got, want)
 		}
+	}
+}
+
+// TestProfilerCountersMatchSimulator: the per-launch deltas the
+// executor feeds the pim_* metrics and the profiler telescope to the
+// simulator's cumulative per-core counters. Equality after Close pins
+// that deltas are per launch (not cumulative), that every launch is
+// seen — hedges and failed attempts included — and that straggler
+// scaling is counted.
+func TestProfilerCountersMatchSimulator(t *testing.T) {
+	fnA, parA := llutSpec()
+	parB := core.Params{Method: core.CORDIC, Iterations: 20}
+	for _, row := range []struct {
+		name string
+		cfg  Config
+		run  func(t *testing.T, e *Engine)
+	}{
+		{"concurrent-mix", Config{DPUs: 4, Shards: 2, MaxBatch: 128}, func(t *testing.T, e *Engine) {
+			var wg sync.WaitGroup
+			for w := 0; w < 6; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(w)))
+					for i := 0; i < 8; i++ {
+						xs := stats.RandomInputs(-3, 3, 1+rng.Intn(300), uint64(w*100+i))
+						var err error
+						if w%2 == 0 {
+							_, _, err = e.EvaluateBatch(fnA, parA, xs)
+						} else {
+							_, _, err = e.EvaluateBatch(core.Sin, parB, xs)
+						}
+						if err != nil {
+							t.Error(err)
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+		}},
+		{"chaos-hedged", Config{
+			DPUs: 2, Shards: 1, MaxBatch: 256,
+			Faults:      mustPlan(t, "seed=5,slowat=1:1;2:1;3:1,slowfactor=8,dpufail=0.05,bitflip=0.01"),
+			Reliability: ReliabilityConfig{HedgeRatio: 2},
+		}, func(t *testing.T, e *Engine) {
+			runSequential(t, e, fnA, parA, chaosInputs(12, 200))
+			if st := e.Stats(); st.Hedges == 0 {
+				t.Fatal("no hedged launches despite forced stragglers")
+			}
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := row.cfg
+			cfg.Profile = true
+			cfg.Profiler = profiler.Config{Enabled: true}
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row.run(t, e)
+			e.Close()
+
+			reg := e.Observe().Registry
+			counter := func(name string) uint64 { return reg.Counter(name, "").Load() }
+			var tot pimsim.Counters
+			for d := 0; d < cfg.DPUs; d++ {
+				dpu := e.System().DPU(d)
+				c := dpu.Counters()
+				tot.Add(&c)
+				lb := fmt.Sprintf("{dpu=%q}", fmt.Sprint(d))
+				for _, m := range []struct {
+					name string
+					want uint64
+				}{
+					{"pim_dpu_kernel_cycles_total", dpu.Cycles()},
+					{"pim_dpu_issue_cycles_total", dpu.IssueCycles()},
+					{"pim_dpu_dma_cycles_total", dpu.DMACycles()},
+				} {
+					if got := counter(m.name + lb); got != m.want {
+						t.Errorf("%s%s = %d, simulator says %d", m.name, lb, got, m.want)
+					}
+				}
+			}
+			for cl := pimsim.OpClass(0); cl < pimsim.NumOpClasses(); cl++ {
+				lb := fmt.Sprintf("{class=%q}", cl.String())
+				if got, want := counter("pim_ops_total"+lb), tot.Ops[cl]; got != want {
+					t.Errorf("pim_ops_total%s = %d, simulator says %d", lb, got, want)
+				}
+				if got, want := counter("pim_op_cycles_total"+lb), tot.Cycles[cl]; got != want {
+					t.Errorf("pim_op_cycles_total%s = %d, simulator says %d", lb, got, want)
+				}
+			}
+			if got, want := counter("pim_launches_total"), e.Profiler().HeatmapSnapshot().Launches; got != want || got == 0 {
+				t.Errorf("pim_launches_total = %d, profiler heatmap saw %d launches", got, want)
+			}
+		})
 	}
 }

@@ -3,16 +3,14 @@ package engine
 import (
 	"strconv"
 
-	"transpimlib/internal/pimsim"
 	"transpimlib/internal/profiler"
 )
 
-// Profiler wiring: the collector consumes the same pimsim launch
-// observer the metrics kernelProfiler uses, plus a per-shard
-// LaunchContext the shard's goroutine fills immediately before each
-// LaunchShard. The observer runs synchronously on the launching
-// goroutine, so the context handoff needs no lock; contexts live one
-// per shard because shards launch concurrently.
+// Profiler wiring: the executor's launch hands the collector the same
+// per-lane launch record the metrics kernelProfiler reads, plus the
+// shard's LaunchContext, filled on the shard's goroutine right after
+// the launch. Contexts live one per shard because shards launch
+// concurrently; each is touched only by its shard's goroutine.
 
 // Profiler returns the modeled-cycle collector, nil unless
 // Config.Profiler.Enabled.
@@ -27,24 +25,8 @@ func (e *Engine) ProfileSnapshot() (profiler.Profile, bool) {
 	return e.prof.Snapshot(), true
 }
 
-// observeLaunch routes a launch profile to the owning shard's context.
-// Shard resolution from the first core id is exact: every engine
-// launch (ordinary, program phase, remap, hedge) targets cores of a
-// single shard's contiguous range.
-func (e *Engine) observeLaunch(prof pimsim.LaunchProfile) {
-	if len(prof.Cores) == 0 {
-		return
-	}
-	perShard := e.cfg.DPUs / e.cfg.Shards
-	sid := prof.Cores[0].DPU / perShard
-	if sid < 0 || sid >= len(e.shards) {
-		return
-	}
-	e.prof.Observe(&e.shards[sid].lctx, prof)
-}
-
-// profContext fills the shard's launch context from the batch about to
-// launch: function/method labels matching the cost ledger's convention
+// profContext fills the shard's launch context from the batch just
+// launched: function/method labels matching the cost ledger's convention
 // (so profile cycles reconcile row-for-row), the launch stage (or
 // fused-program phase), and the tenant segments in ledger order. The
 // Segs slice is reused; steady state allocates nothing.

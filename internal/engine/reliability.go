@@ -283,7 +283,7 @@ func (e *Engine) launchPhase(s *shard, b *batch, phi int) bool {
 			}
 		}
 
-		mx, slowest, err := e.launch(s, b, phi, attempt, lanes, stage)
+		mx, slowest, err := e.launch(s, b, phi, attempt, lanes, 0, stage)
 		timedOut := full && e.rel.LaunchTimeout > 0 && float64(mx)/clock > e.rel.LaunchTimeout
 		if err == nil && !timedOut {
 			if full {
@@ -346,19 +346,23 @@ func (e *Engine) launchPhase(s *shard, b *batch, phi int) bool {
 }
 
 // launch runs phase phi of the batch's plan as one shard launch, chunk
-// j on lanes[j], and reduces the lanes' closed-form cycle deltas (kept
-// in s.deltas) to the slowest lane's — the batch's critical path.
-func (e *Engine) launch(s *shard, b *batch, phi int, attempt uint64, lanes []int, stage string) (mx uint64, slowest int, err error) {
+// off+j on lanes[j], and reduces the lanes' closed-form cycle deltas
+// (kept in s.deltas) to the slowest lane's — the batch's critical
+// path. It is the engine's only launch and its only launch accountant:
+// each lane's accounting is snapshotted into s.cores before the launch
+// and turned into the launch's per-lane delta after it, which the
+// installed profiling sinks read directly.
+func (e *Engine) launch(s *shard, b *batch, phi int, attempt uint64, lanes []int, off int, stage string) (mx uint64, slowest int, err error) {
 	ids := s.launchIDs[:0]
 	for j, k := range lanes {
+		d := s.dpus[k]
 		ids = append(ids, s.ids[k])
-		s.chunkOf[k] = j
-		s.issue0[j], s.dma0[j] = s.dpus[k].IssueCycles(), s.dpus[k].DMACycles()
+		s.chunkOf[k] = off + j
+		s.cores[j] = pimsim.CoreProfile{
+			Cycles: d.Cycles(), IssueCycles: d.IssueCycles(), DMACycles: d.DMACycles(), Counters: d.Counters(),
+		}
 	}
 	s.launchIDs = ids
-	if e.prof != nil {
-		e.profContext(s, b, stage)
-	}
 	ex, base, fast := b.plan.ex, s.ids[0], !e.cfg.Reference
 	err = e.sys.LaunchShardSeq(b.seq, attempt, ids, func(ctx *pimsim.Ctx, id int) error {
 		ln := id - base
@@ -366,12 +370,32 @@ func (e *Engine) launch(s *shard, b *batch, phi int, attempt uint64, lanes []int
 		return nil
 	})
 	for j, k := range lanes {
-		d := s.dpus[k]
-		c := pimsim.ClosedFormCycles(d.IssueCycles()-s.issue0[j], d.DMACycles()-s.dma0[j], d.Tasklets())
+		d, cp := s.dpus[k], &s.cores[j]
+		now := d.Counters()
+		for cl := range now.Ops {
+			now.Ops[cl] -= cp.Counters.Ops[cl]
+			now.Cycles[cl] -= cp.Counters.Cycles[cl]
+		}
+		*cp = pimsim.CoreProfile{
+			DPU: s.ids[k], Tasklets: d.Tasklets(),
+			Cycles:      d.Cycles() - cp.Cycles,
+			IssueCycles: d.IssueCycles() - cp.IssueCycles,
+			DMACycles:   d.DMACycles() - cp.DMACycles,
+			Counters:    now,
+		}
+		c := pimsim.ClosedFormCycles(cp.IssueCycles, cp.DMACycles, cp.Tasklets)
 		s.deltas[j] = c
 		if c > mx {
 			mx, slowest = c, j
 		}
+	}
+	rec := pimsim.LaunchProfile{Cores: s.cores[:len(lanes)]}
+	if e.kprof != nil {
+		e.kprof.observe(rec)
+	}
+	if e.prof != nil {
+		e.profContext(s, b, stage)
+		e.prof.Observe(&s.lctx, rec)
 	}
 	return mx, slowest, err
 }
@@ -386,10 +410,10 @@ func (e *Engine) laneFailed(s *shard, seq uint64, k int, cause string) {
 	}
 }
 
-// maybeHedge relaunches the slowest lane of a successful launch when
-// its cycle delta exceeds HedgeRatio × the lane median, keeping the
-// cheaper of the two runs (the kernel is idempotent: the relaunch
-// rewrites the same outputs). Returns the batch's effective
+// maybeHedge relaunches the slowest lane's chunk on that lane, through
+// launch, when its cycle delta exceeds HedgeRatio × the lane median,
+// keeping the cheaper of the two runs (the kernel is idempotent: the
+// relaunch rewrites the same outputs). Returns the batch's effective
 // slowest-lane cycles.
 func (e *Engine) maybeHedge(s *shard, b *batch, lanes []int, per int, mx uint64) uint64 {
 	if e.rel.HedgeRatio <= 1 || len(lanes) < 2 {
@@ -406,41 +430,29 @@ func (e *Engine) maybeHedge(s *shard, b *batch, lanes []int, per int, mx uint64)
 	if med == 0 || float64(deltas[slowest]) < e.rel.HedgeRatio*float64(med) {
 		return mx
 	}
-	k, j := lanes[slowest], slowest
-	if j*per >= b.n {
+	if slowest*per >= b.n {
 		return mx
 	}
-	d := s.dpus[k]
-	i0, d0 := d.IssueCycles(), d.DMACycles()
-	if e.prof != nil {
-		e.profContext(s, b, "hedge")
+	// launch reuses s.deltas: take the straggler's run and the other
+	// lanes' critical path before relaunching its chunk on its lane.
+	orig, others := deltas[slowest], uint64(0)
+	for j, c := range deltas {
+		if j != slowest && c > others {
+			others = c
+		}
 	}
 	// A large attempt bias gives the hedge a fresh, independent draw
 	// stream that ordinary retries never reach.
-	err := e.sys.LaunchShardSeq(b.seq, uint64(e.rel.MaxRetries)+1000, []int{s.ids[k]}, func(ctx *pimsim.Ctx, id int) error {
-		b.plan.ex.RunLane(ctx, 0, j, k, s.arena[k], !e.cfg.Reference)
-		return nil
-	})
+	hedged, _, err := e.launch(s, b, 0, uint64(e.rel.MaxRetries)+1000, lanes[slowest:slowest+1], slowest, "hedge")
 	e.met.hedges.Inc()
 	b.hedged = true
 	if err != nil {
 		// The hedge itself failed; the original run's outputs stand.
 		return mx
 	}
-	hedged := pimsim.ClosedFormCycles(d.IssueCycles()-i0, d.DMACycles()-d0, d.Tasklets())
-	eff := deltas[slowest]
-	if hedged < eff {
-		eff = hedged
-	}
 	// The batch's critical path is the slower of the other lanes and
 	// the better of the two runs of the straggler's chunk.
-	best := eff
-	for jj := range deltas {
-		if jj != slowest && deltas[jj] > best {
-			best = deltas[jj]
-		}
-	}
-	return best
+	return max(others, min(orig, hedged))
 }
 
 // medianCycles computes the lower median of deltas using scratch for

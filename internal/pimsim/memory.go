@@ -156,12 +156,6 @@ func (m *Mem) PutInt64(addr int, v int64) { m.PutUint64(addr, uint64(v)) }
 // Int64 loads a 64-bit signed integer.
 func (m *Mem) Int64(addr int) int64 { return int64(m.Uint64(addr)) }
 
-// WriteFloat32s bulk-stores a float32 slice starting at addr.
-func (m *Mem) WriteFloat32s(addr int, vs []float32) { m.WriteF32s(addr, vs) }
-
-// ReadFloat32s bulk-loads len(out) float32 values starting at addr.
-func (m *Mem) ReadFloat32s(addr int, out []float32) { m.ReadF32s(addr, out) }
-
 // WriteInt32s bulk-stores an int32 slice starting at addr.
 func (m *Mem) WriteInt32s(addr int, vs []int32) {
 	m.ensure(addr + 4*len(vs))

@@ -8,9 +8,9 @@ import (
 
 // The simulated memories are little-endian byte arrays (matching the
 // UPMEM DPU). On a little-endian host a []float32 therefore has the
-// exact byte layout of its simulated image, and the typed bulk
-// accessors can copy through an unsafe byte view instead of encoding
-// one element at a time. The probe runs once; big-endian hosts fall
+// exact byte layout of its simulated image, and the bulk float32
+// store can copy through an unsafe byte view instead of encoding one
+// element at a time. The probe runs once; big-endian hosts fall
 // back to the portable per-element path.
 var hostLittleEndian = func() bool {
 	var probe uint32 = 1
@@ -21,9 +21,9 @@ func f32Bytes(vs []float32) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&vs[0])), 4*len(vs))
 }
 
-// WriteF32s bulk-stores a float32 slice starting at addr, bypassing
-// per-element encoding on little-endian hosts.
-func (m *Mem) WriteF32s(addr int, vs []float32) {
+// WriteFloat32s bulk-stores a float32 slice starting at addr,
+// bypassing per-element encoding on little-endian hosts.
+func (m *Mem) WriteFloat32s(addr int, vs []float32) {
 	if len(vs) == 0 {
 		return
 	}
@@ -35,22 +35,5 @@ func (m *Mem) WriteF32s(addr int, vs []float32) {
 	}
 	for i, v := range vs {
 		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
-	}
-}
-
-// ReadF32s bulk-loads len(out) float32 values starting at addr,
-// bypassing per-element decoding on little-endian hosts.
-func (m *Mem) ReadF32s(addr int, out []float32) {
-	if len(out) == 0 {
-		return
-	}
-	m.ensure(addr + 4*len(out))
-	src := m.data[addr : addr+4*len(out)]
-	if hostLittleEndian {
-		copy(f32Bytes(out), src)
-		return
-	}
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
 	}
 }

@@ -1,47 +1,45 @@
 package pimsim
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 )
 
-// TestTypedF32RoundTrip cross-checks the bulk typed accessors against
-// the scalar Put/Float32 path, including negative zero and NaN
-// payloads, which must survive bit-exactly.
+// TestTypedF32RoundTrip cross-checks the bulk float32 store against the
+// scalar Float32 path and the raw little-endian image, including
+// negative zero and NaN payloads, which must survive bit-exactly. Both
+// byte-order paths run: the host's native one and the portable
+// per-element encoding big-endian hosts take.
 func TestTypedF32RoundTrip(t *testing.T) {
-	m := NewMem("test", 4096, 4)
 	vs := []float32{
 		0, float32(math.Copysign(0, -1)), 1, -1, 0.5,
 		float32(math.Inf(1)), float32(math.Inf(-1)),
 		math.Float32frombits(0x7fc00001), // NaN with payload
 		3.1415927, -2.7182817,
 	}
-	m.WriteF32s(64, vs)
-	for i, want := range vs {
-		if got := m.Float32(64 + 4*i); math.Float32bits(got) != math.Float32bits(want) {
-			t.Fatalf("scalar read %d: %v (%#x) != %v (%#x)", i, got, math.Float32bits(got), want, math.Float32bits(want))
+	native := hostLittleEndian
+	defer func() { hostLittleEndian = native }()
+	for _, c := range []struct {
+		name string
+		le   bool
+	}{{"native", native}, {"portable", false}} {
+		hostLittleEndian = c.le
+		m := NewMem("test", 4096, 4)
+		m.WriteFloat32s(64, vs)
+		raw := make([]byte, 4*len(vs))
+		m.Read(64, raw)
+		for i, want := range vs {
+			if got := m.Float32(64 + 4*i); math.Float32bits(got) != math.Float32bits(want) {
+				t.Fatalf("%s: scalar read %d: %v (%#x) != %v (%#x)", c.name, i, got, math.Float32bits(got), want, math.Float32bits(want))
+			}
+			if got := binary.LittleEndian.Uint32(raw[4*i:]); got != math.Float32bits(want) {
+				t.Fatalf("%s: image word %d: %#x != %#x", c.name, i, got, math.Float32bits(want))
+			}
 		}
+		// Empty slices are no-ops, not panics.
+		m.WriteFloat32s(0, nil)
 	}
-	out := make([]float32, len(vs))
-	m.ReadF32s(64, out)
-	for i, want := range vs {
-		if math.Float32bits(out[i]) != math.Float32bits(want) {
-			t.Fatalf("bulk read %d: %v != %v", i, out[i], want)
-		}
-	}
-	// Bulk read of values stored through the scalar path.
-	for i, v := range vs {
-		m.PutFloat32(256+4*i, v)
-	}
-	m.ReadF32s(256, out)
-	for i, want := range vs {
-		if math.Float32bits(out[i]) != math.Float32bits(want) {
-			t.Fatalf("bulk-after-scalar %d: %v != %v", i, out[i], want)
-		}
-	}
-	// Empty slices are no-ops, not panics.
-	m.WriteF32s(0, nil)
-	m.ReadF32s(0, nil)
 }
 
 // TestMemResetTruncates pins the Reset contract: contents up to the

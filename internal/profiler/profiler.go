@@ -1,12 +1,13 @@
 // Package profiler is the continuous modeled-cycle profiler: it
-// consumes pimsim per-launch counter deltas and attributes every
+// consumes the engine executor's per-launch, per-core counter deltas
+// (one pimsim.LaunchProfile per launch) and attributes every
 // modeled kernel cycle to a stack of (tenant, function, method,
 // pipeline stage / fused-program phase, instruction class) — the
 // paper's Fig.-7 per-method cycle breakdowns (mul vs. shift vs. load
 // vs. branch), captured live, per tenant, on a serving system.
 //
 // Attribution is exact by construction. Each launch's wall cycles are
-// the slowest lane's closed-form cycles over the observer's counter
+// the slowest lane's closed-form cycles over the launch's counter
 // deltas — the same quantity the engine charges a batch and the
 // simulator accumulates under SetCycleAttribution — and every split
 // (across tenant segments, then across instruction classes within a
@@ -32,7 +33,7 @@ import (
 // Config describes a collector.
 type Config struct {
 	// Enabled turns the profiler on. Off (the zero value), the engine
-	// installs no launch observer for it and the hot path is unchanged.
+	// builds no collector and a launch pays one nil check.
 	Enabled bool
 	// Window is the width of one heatmap window (default 1s).
 	Window time.Duration
@@ -65,11 +66,11 @@ type Seg struct {
 
 // LaunchContext carries the labels the engine's shard goroutine knows
 // and the simulator does not: which function/method the kernel serves,
-// which pipeline stage (or fused-program phase) is launching, and the
-// tenant segments the batch carries. The launching goroutine writes it
-// immediately before LaunchShard and the observer — which runs
-// synchronously on the same goroutine — reads it; no lock is needed
-// and the Segs slice is reused across batches.
+// which launch stage (or fused-program phase) ran, and the tenant
+// segments the batch carries. The launching goroutine fills it after
+// each launch and passes it to Observe with the launch's profile; the
+// engine keeps one per shard so the Segs slice is reused across
+// batches.
 type LaunchContext struct {
 	Function string
 	Method   string
@@ -198,9 +199,9 @@ func (c *Collector) Close() {
 	})
 }
 
-// Observe is the launch observer body: attribute one launch's counter
-// deltas to the context's frames. It runs synchronously on the
-// launching goroutine (one shard's goroutine), so distinct shards
+// Observe attributes one launch's per-core counter deltas to the
+// context's frames. The engine's executor calls it on the launching
+// shard's goroutine right after each launch, so distinct shards
 // contend only on the frame map's read lock and the cells' atomics.
 func (c *Collector) Observe(lc *LaunchContext, prof pimsim.LaunchProfile) {
 	if c == nil || len(prof.Cores) == 0 {
@@ -232,11 +233,7 @@ func (c *Collector) Observe(lc *LaunchContext, prof pimsim.LaunchProfile) {
 		cell.idle.Add(wall - busy)
 	}
 
-	// Per-class totals across the launch's cores.
-	var tot pimsim.Counters
-	for i := range prof.Cores {
-		tot.Add(&prof.Cores[i].Counters)
-	}
+	tot := prof.Total()
 
 	segs := lc.Segs
 	n := uint64(lc.N)
