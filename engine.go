@@ -292,6 +292,17 @@ func (e *Engine) EvaluateBatchAs(tenant string, fn Function, spec Config, xs []f
 	return e.e.EvaluateBatchTenant(tenant, fn, spec.params(), xs)
 }
 
+// EvaluateBatchInto is EvaluateBatchAs writing the outputs into
+// dst[:len(xs)] instead of a fresh slice, so a warm request allocates
+// nothing. It returns an error when dst is shorter than xs or overlaps
+// it.
+func (e *Engine) EvaluateBatchInto(dst []float32, tenant string, fn Function, spec Config, xs []float32) (RequestStats, error) {
+	if spec.PIM != nil {
+		return RequestStats{}, fmt.Errorf("transpimlib: EngineConfig owns its PIM system; Config.PIM must be nil")
+	}
+	return e.e.EvaluateBatchInto(dst, tenant, fn, spec.params(), xs)
+}
+
 // Stats returns a snapshot of the engine-wide counters.
 func (e *Engine) Stats() EngineStats { return e.e.Stats() }
 

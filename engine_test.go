@@ -125,3 +125,50 @@ func TestEngineConcurrentPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWarmRequestAllocs pins the public serving paths: a warm 1K
+// request through an N=2 Cluster's EvaluateBatchAs allocates only its
+// output, and through Engine.EvaluateBatchInto nothing.
+func TestWarmRequestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not pinned under the race detector")
+	}
+	spec := Config{Method: LLUT, Interpolated: true, SizeLog2: 12}
+	xs := make([]float32, 1024)
+	for i := range xs {
+		xs[i] = -6 + 12*float32(i)/float32(len(xs)-1)
+	}
+
+	cl, err := NewCluster(ClusterConfig{Replicas: 2, Engine: EngineConfig{DPUs: 4, Shards: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Prewarm(Sigmoid, spec, "t"); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		if _, _, err := cl.EvaluateBatchAs("t", Sigmoid, spec, xs); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 1 {
+		t.Errorf("warm 1K Cluster.EvaluateBatchAs: %.1f allocs, want 1 (the output)", avg)
+	}
+
+	eng, err := NewEngine(EngineConfig{DPUs: 4, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	dst := make([]float32, len(xs))
+	if _, err := eng.EvaluateBatchInto(dst, "", Sigmoid, spec, xs); err != nil {
+		t.Fatal(err) // warm: tables built, plan compiled
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		if _, err := eng.EvaluateBatchInto(dst, "", Sigmoid, spec, xs); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("warm 1K Engine.EvaluateBatchInto: %.1f allocs, want 0", avg)
+	}
+}

@@ -376,9 +376,23 @@ func (w *Watcher) Sample(req Request, xs, ys []float32) Outcome {
 			w.oorTotal.Inc()
 		}
 
-		exLabels := exemplarLabels(req.TraceID, x)
-		s.absHist.ObserveExemplar(abs, exLabels)
-		s.ulpHist.ObserveExemplar(ulps, exLabels)
+		// Render the exemplar labels only for a sample a histogram
+		// bucket would retain; most samples beat no retained exemplar.
+		keepAbs, keepULP := s.absHist.KeepsExemplar(abs), s.ulpHist.KeepsExemplar(ulps)
+		var exLabels string
+		if keepAbs || keepULP {
+			exLabels = exemplarLabels(req.TraceID, x)
+		}
+		if keepAbs {
+			s.absHist.ObserveExemplar(abs, exLabels)
+		} else {
+			s.absHist.Observe(abs)
+		}
+		if keepULP {
+			s.ulpHist.ObserveExemplar(ulps, exLabels)
+		} else {
+			s.ulpHist.Observe(ulps)
+		}
 		if abs > s.worstAbs.AbsErr || !s.worstAbs.Set {
 			s.worstAbs = makeExemplar(x, y, want, abs, ulps, i, req)
 		}

@@ -296,3 +296,34 @@ func TestNilWatcher(t *testing.T) {
 		t.Fatal("nil watcher produced violations")
 	}
 }
+
+// TestSampleExemplarAllocs: a sample renders exemplar labels and
+// builds an Exemplar only when a histogram bucket would retain it, so a
+// request whose samples beat no retained exemplar allocates nothing.
+func TestSampleExemplarAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not pinned under the race detector")
+	}
+	w := New(Config{Enabled: true, SampleRate: 1, Seed: 1, Window: 1 << 30}, telemetry.NewRegistry(), nil)
+	xs := make([]float32, 64)
+	for i := range xs {
+		xs[i] = 1
+	}
+	off := func(d float64) Request {
+		r := sinReq("a")
+		r.Ref = func(x float64) float64 { return x + d }
+		return r
+	}
+	worse, better := off(5e-10), off(2e-10) // same buckets, strictly smaller errors
+	if out := w.Sample(worse, xs, xs); out.Sampled != len(xs) {
+		t.Fatalf("sampled %d of %d", out.Sampled, len(xs))
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		w.Sample(better, xs, xs)
+	}); avg != 0 {
+		t.Fatalf("a sample beating no retained exemplar allocates %.1f objects, want 0", avg)
+	}
+	if ex := w.Snapshot().Series[0].WorstAbs; ex.AbsErr < 4e-10 {
+		t.Fatalf("worst-abs exemplar %g replaced by a better sample", ex.AbsErr)
+	}
+}

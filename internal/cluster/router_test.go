@@ -253,3 +253,31 @@ func TestRouterConcurrentRace(t *testing.T) {
 		t.Fatalf("failing replica 2 served %d requests", st.Routed[2])
 	}
 }
+
+// TestWarmRequestAllocs pins the routed round trip: on an N=2 cluster
+// of real engines, a warm 1K request allocates only its output slice.
+func TestWarmRequestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not pinned under the race detector")
+	}
+	cfg := engine.Config{DPUs: 4, Shards: 1}
+	c, err := New(Config{Engines: []engine.Config{cfg, cfg}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	xs := make([]float32, 1024)
+	for i := range xs {
+		xs[i] = float32(i)/128 - 4
+	}
+	if _, _, err := c.EvaluateBatchTenant("t", core.Sigmoid, testParams(), xs); err != nil {
+		t.Fatal(err) // warm: tables built, plan compiled
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		if _, _, err := c.EvaluateBatchTenant("t", core.Sigmoid, testParams(), xs); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 1 {
+		t.Fatalf("warm 1K cluster request: %.1f allocs, want 1 (the output)", avg)
+	}
+}

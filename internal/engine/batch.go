@@ -21,7 +21,10 @@ type request struct {
 	inputs   []float32
 	outputs  []float32
 	enqueued time.Time
-	done     chan struct{}
+	// done is 1-buffered: the shard that completes the request's last
+	// segment sends on it once, and roundTrip, the only waiter,
+	// receives. It lives as long as the pooled request.
+	done chan struct{}
 
 	// Fused-program request fields (program.go): prog is the compiled
 	// program and pinputs/pscalars its bound arguments; spec/inputs are
@@ -56,6 +59,26 @@ type request struct {
 	trace     *telemetry.Trace
 }
 
+// requestPool recycles requests with their done channels, so a warm
+// round trip allocates nothing but the caller's output. A request goes
+// back (releaseRequest) once its caller has copied out the outputs,
+// stats, trace and error; roundTrip is its only waiter, so nothing can
+// abandon it mid-flight.
+var requestPool = sync.Pool{New: func() any { return &request{done: make(chan struct{}, 1)} }}
+
+// newRequest takes a zeroed request from the pool.
+func newRequest() *request { return requestPool.Get().(*request) }
+
+// releaseRequest returns a finished request to the pool, dropping every
+// reference it holds but keeping its done channel and the capacity of
+// its batch-trace list.
+func releaseRequest(r *request) {
+	done, traces := r.done, r.batchTraces
+	clear(traces)
+	*r = request{done: done, batchTraces: traces[:0]}
+	requestPool.Put(r)
+}
+
 // batchRef pairs a completed batch with its wall-clock stage stamps
 // for trace assembly.
 type batchRef struct {
@@ -65,7 +88,7 @@ type batchRef struct {
 
 // complete records one completed batch against the request. It reports
 // whether this was the request's last outstanding segment; the shard
-// then closes done, and the released caller finishes the request
+// then sends on done, and the released caller finishes the request
 // (finishRequest).
 func (r *request) complete(b *batch, shardID int) (last bool) {
 	r.mu.Lock()
@@ -107,10 +130,12 @@ func (r *request) complete(b *batch, shardID int) (last bool) {
 
 // labels returns the request's ledger, profiler and log labels: the
 // function and its method label, or "program" and "fused:<name>" for a
-// fused program (its own rows, never the overflow bucket).
+// fused program (its own rows, never the overflow bucket). Both are
+// rendered once per spec or compiled program, so reading them
+// allocates nothing.
 func (r *request) labels() (fn, method string) {
 	if r.prog != nil {
-		return "program", "fused:" + r.prog.Name()
+		return "program", r.prog.MethodLabel()
 	}
 	return r.spec.Fn.String(), methodLabel(r.spec.Par)
 }
@@ -208,10 +233,11 @@ func releaseBatch(b *batch) {
 
 // planBatches packs same-spec requests into batches of at most
 // maxBatch elements, splitting oversized requests across several
-// batches, and records each request's outstanding segment count. Pure
-// packing logic, separated from the batcher goroutine for testing.
-func planBatches(spec Spec, reqs []*request, maxBatch int) []*batch {
-	var out []*batch
+// batches, appends them to out, and records each request's
+// outstanding segment count. The batcher passes a slice it owns and
+// reuses, so a steady-state round allocates nothing. Pure packing
+// logic, separated from the batcher goroutine for testing.
+func planBatches(out []*batch, spec Spec, reqs []*request, maxBatch int) []*batch {
 	b := newBatch(spec)
 	for _, r := range reqs {
 		segments := 0

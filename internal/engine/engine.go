@@ -39,6 +39,7 @@ import (
 	"log/slog"
 	"sync"
 	"time"
+	"unsafe"
 
 	"transpimlib/internal/accwatch"
 	"transpimlib/internal/core"
@@ -198,6 +199,15 @@ type shard struct {
 	deltas                    []uint64
 	failedLane                []bool
 
+	// kernel is the shard's launch kernel, the method value s.runLane
+	// bound once at construction; it reads the plan Exec, phase and
+	// fast flag that launch sets here, so a launch allocates no
+	// closure.
+	kernel func(ctx *pimsim.Ctx, dpuID int) error
+	ex     *fusion.Exec
+	phase  int
+	fast   bool
+
 	// lctx is the profiler's launch context, filled after each launch
 	// and passed to Collector.Observe; kept per shard so its Segs slice
 	// is reused. Unused when profiling is off.
@@ -350,7 +360,9 @@ func New(cfg Config) (*Engine, error) {
 			cores:      make([]pimsim.CoreProfile, perShard),
 			deltas:     make([]uint64, perShard),
 			failedLane: make([]bool, perShard),
+			fast:       !cfg.Reference,
 		}
+		s.kernel = s.runLane
 		for k := 0; k < perShard; k++ {
 			id := sID*perShard + k
 			s.ids = append(s.ids, id)
@@ -484,8 +496,22 @@ func (e *Engine) EvaluateBatch(fn core.Function, p core.Params, xs []float32) ([
 // separable in /debug/accuracy. The tag does not affect batching,
 // coalescing, or results; an empty tenant is the anonymous series.
 func (e *Engine) EvaluateBatchTenant(tenant string, fn core.Function, p core.Params, xs []float32) ([]float32, RequestStats, error) {
-	out, st, _, err := e.evaluate(tenant, 0, false, fn, p, xs)
+	out, st, _, err := e.evaluate(make([]float32, len(xs)), tenant, 0, false, fn, p, xs)
 	return out, st, err
+}
+
+// EvaluateBatchInto is EvaluateBatchTenant writing the outputs into
+// dst[:len(xs)] instead of a fresh slice, so a warm request allocates
+// nothing. dst must hold len(xs) elements and must not overlap xs.
+func (e *Engine) EvaluateBatchInto(dst []float32, tenant string, fn core.Function, p core.Params, xs []float32) (RequestStats, error) {
+	if len(dst) < len(xs) {
+		return RequestStats{}, fmt.Errorf("engine: output slice holds %d elements, need %d", len(dst), len(xs))
+	}
+	if overlaps(dst[:len(xs)], xs) {
+		return RequestStats{}, errors.New("engine: output slice overlaps the inputs")
+	}
+	_, st, _, err := e.evaluate(dst, tenant, 0, false, fn, p, xs)
+	return st, err
 }
 
 // EvaluateBatchTraced is EvaluateBatchTenant with an externally minted
@@ -496,14 +522,15 @@ func (e *Engine) EvaluateBatchTenant(tenant string, fn core.Function, p core.Par
 // With tracing disabled (TraceDepth 0) the returned trace is nil and
 // the call behaves exactly like EvaluateBatchTenant.
 func (e *Engine) EvaluateBatchTraced(tenant string, traceID uint64, fn core.Function, p core.Params, xs []float32) ([]float32, RequestStats, *telemetry.Trace, error) {
-	return e.evaluate(tenant, traceID, true, fn, p, xs)
+	return e.evaluate(make([]float32, len(xs)), tenant, traceID, true, fn, p, xs)
 }
 
-// evaluate is the shared front end of the EvaluateBatch variants.
-// extID, when nonzero, overrides the trace ring's minted ID; wantTrace
-// asks finishRequest to hand the assembled span tree back on the
-// request.
-func (e *Engine) evaluate(tenant string, extID uint64, wantTrace bool, fn core.Function, p core.Params, xs []float32) ([]float32, RequestStats, *telemetry.Trace, error) {
+// evaluate is the one path behind the EvaluateBatch variants: it
+// serves xs into dst[:len(xs)] and returns that slice, or nil when the
+// request was rejected before it ran. extID, when nonzero, overrides
+// the trace ring's minted ID; wantTrace asks finishRequest to hand the
+// assembled span tree back on the request.
+func (e *Engine) evaluate(dst []float32, tenant string, extID uint64, wantTrace bool, fn core.Function, p core.Params, xs []float32) ([]float32, RequestStats, *telemetry.Trace, error) {
 	spec := makeSpec(fn, p)
 	if !spec.Par.Method.Supports(fn) {
 		return nil, RequestStats{}, nil, fmt.Errorf("engine: %v does not support %v (see Table 2)", spec.Par.Method, fn)
@@ -511,18 +538,24 @@ func (e *Engine) evaluate(tenant string, extID uint64, wantTrace bool, fn core.F
 	if len(xs) == 0 {
 		return nil, RequestStats{}, nil, nil
 	}
-	r := &request{
-		spec:      spec,
-		tenant:    tenant,
-		inputs:    xs,
-		outputs:   make([]float32, len(xs)),
-		extID:     extID,
-		wantTrace: wantTrace,
-	}
+	r := newRequest()
+	r.spec, r.tenant, r.inputs, r.outputs = spec, tenant, xs, dst[:len(xs)]
+	r.extID, r.wantTrace = extID, wantTrace
+	defer releaseRequest(r)
 	if err := e.roundTrip(r); err != nil {
 		return nil, RequestStats{}, nil, err
 	}
 	return r.outputs, r.stats, r.trace, r.err
+}
+
+// overlaps reports whether a and b share an element.
+func overlaps(a, b []float32) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	const size = unsafe.Sizeof(float32(0))
+	pa, pb := uintptr(unsafe.Pointer(&a[0])), uintptr(unsafe.Pointer(&b[0]))
+	return pa < pb+uintptr(len(b))*size && pb < pa+uintptr(len(a))*size
 }
 
 // roundTrip submits r, waits for the shard that completes its last
@@ -531,7 +564,6 @@ func (e *Engine) evaluate(tenant string, extID uint64, wantTrace bool, fn core.F
 // own outcome is r.err.
 func (e *Engine) roundTrip(r *request) error {
 	r.enqueued = time.Now()
-	r.done = make(chan struct{})
 	r.stats.CacheHit = true // cleared by the first miss
 	e.mu.RLock()
 	if e.closed {
@@ -578,6 +610,8 @@ func (e *Engine) batcher() {
 	// Program requests are never coalesced or split: one batch carries
 	// the whole program so its intermediates stay device-resident.
 	var progs []*request
+	// planned receives each spec's packed batches, reused across rounds.
+	var planned []*batch
 	add := func(r *request) {
 		if r.prog != nil {
 			progs = append(progs, r)
@@ -640,7 +674,9 @@ func (e *Engine) batcher() {
 		}
 		e.met.queueDepth.Set(int64(len(e.submit)))
 		for _, spec := range order {
-			for _, b := range planBatches(spec, bySpec[spec], e.cfg.MaxBatch) {
+			planned = planBatches(planned[:0], spec, bySpec[spec], e.cfg.MaxBatch)
+			for i, b := range planned {
+				planned[i] = nil // the shard owns the batch from here
 				e.seq++
 				b.seq = e.seq
 				if e.tracer != nil {
@@ -754,7 +790,7 @@ func (e *Engine) serveShard(s *shard) {
 		}
 		for _, sg := range b.segs {
 			if sg.req.complete(b, s.id) {
-				close(sg.req.done)
+				sg.req.done <- struct{}{}
 			}
 		}
 		releaseBatch(b)
@@ -824,10 +860,25 @@ func (e *Engine) finishRequest(r *request) {
 
 // methodLabel renders a request's method the way tplaccuracy labels
 // it — "l-lut(i)" for the interpolated variant — so online series and
-// offline reports key identically.
+// offline reports key identically. The labels are rendered once, in
+// interpLabels, so the per-launch, per-batch and per-request reads
+// allocate nothing.
 func methodLabel(p core.Params) string {
-	if p.Interp {
-		return p.Method.String() + "(i)"
+	if !p.Interp {
+		return p.Method.String()
 	}
-	return p.Method.String()
+	if m := int(p.Method); m >= 0 && m < len(interpLabels) {
+		return interpLabels[m]
+	}
+	return p.Method.String() + "(i)"
 }
+
+// interpLabels holds every method's interpolated label, indexed by
+// method.
+var interpLabels = func() []string {
+	var out []string
+	for _, m := range core.Methods() {
+		out = append(out, m.String()+"(i)")
+	}
+	return out
+}()

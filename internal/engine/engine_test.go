@@ -458,7 +458,7 @@ func TestPlanBatches(t *testing.T) {
 	}
 	spec := Spec{Fn: core.Sin, Par: core.Params{Method: core.LLUT}.Normalized()}
 	r1, r2, r3 := mk(10), mk(50), mk(100)
-	batches := planBatches(spec, []*request{r1, r2, r3}, 64)
+	batches := planBatches(nil, spec, []*request{r1, r2, r3}, 64)
 	if len(batches) != 3 {
 		t.Fatalf("got %d batches, want 3", len(batches))
 	}
@@ -498,5 +498,55 @@ func TestShardPlan(t *testing.T) {
 		if per != c.per || bytes != c.bytes {
 			t.Errorf("shardPlan(%d,%d) = (%d,%d), want (%d,%d)", c.n, c.k, per, bytes, c.per, c.bytes)
 		}
+	}
+}
+
+// TestEvaluateBatchIntoRejects: EvaluateBatchInto refuses a dst shorter
+// than the inputs or overlapping them, and serves a longer dst into
+// its prefix, leaving the rest untouched.
+func TestEvaluateBatchIntoRejects(t *testing.T) {
+	e, err := New(Config{DPUs: 2, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	fn, par := llutSpec()
+	buf := make([]float32, 96)
+	xs := buf[:64]
+	for i := range xs {
+		xs[i] = float32(i)/8 - 4
+	}
+	if _, err := e.EvaluateBatchInto(make([]float32, 63), "", fn, par, xs); err == nil {
+		t.Error("dst shorter than xs accepted")
+	}
+	if _, err := e.EvaluateBatchInto(buf[32:], "", fn, par, xs); err == nil {
+		t.Error("dst overlapping xs accepted")
+	}
+	if _, err := e.EvaluateBatchInto(xs, "", fn, par, xs); err == nil {
+		t.Error("dst aliasing xs accepted")
+	}
+	if _, err := e.EvaluateBatchInto(buf[64:], "", fn, par, xs[:32]); err != nil {
+		t.Errorf("disjoint dst rejected: %v", err)
+	}
+	want, _, err := e.EvaluateBatch(fn, par, xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float32, 65)
+	dst[64] = 42
+	st, err := e.EvaluateBatchInto(dst, "", fn, par, xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.BatchElements != len(xs) {
+		t.Fatalf("BatchElements %d, want %d", st.BatchElements, len(xs))
+	}
+	for i := range want {
+		if dst[i] != want[i] {
+			t.Fatalf("elem %d: %v, want %v", i, dst[i], want[i])
+		}
+	}
+	if dst[64] != 42 {
+		t.Fatal("EvaluateBatchInto wrote past len(xs)")
 	}
 }

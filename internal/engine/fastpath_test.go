@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"transpimlib/internal/core"
+	"transpimlib/internal/profiler"
 	"transpimlib/internal/stats"
 )
 
@@ -114,14 +115,20 @@ func TestRunLaneZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestProfileAllocsMatchOff: the pim_* kernel metrics read the
-// executor's persistent per-lane record, so turning Profile on adds no
-// allocation to a warm request.
+// TestProfileAllocsMatchOff: the pim_* kernel metrics and the
+// profiler read the executor's persistent per-lane record, the launch
+// reuses its pre-launch snapshots, and the labels are rendered once per
+// spec, so turning Profile, Profiler or Ledger on adds no allocation to
+// a warm request.
 func TestProfileAllocsMatchOff(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not pinned under the race detector")
+	}
 	fn, par := llutSpec()
 	xs := stats.RandomInputs(-7.9, 7.9, 1024, 5)
-	allocs := func(profile bool) float64 {
-		e, err := New(Config{DPUs: 4, Shards: 1, Profile: profile})
+	allocs := func(cfg Config) float64 {
+		cfg.DPUs, cfg.Shards = 4, 1
+		e, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +142,58 @@ func TestProfileAllocsMatchOff(t *testing.T) {
 			}
 		})
 	}
-	if off, on := allocs(false), allocs(true); on != off {
-		t.Fatalf("warm 1K request: %.1f allocs with Profile, %.1f with observers off", on, off)
+	off := allocs(Config{})
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"Profile", Config{Profile: true}},
+		{"Profiler", Config{Profiler: profiler.Config{Enabled: true}}},
+		{"Ledger", Config{Ledger: true}},
+	} {
+		if on := allocs(c.cfg); on != off {
+			t.Errorf("warm 1K request: %.1f allocs with %s, %.1f with observers off", on, c.name, off)
+		}
+	}
+}
+
+// TestWarmRequestAllocs pins the warm round trip: requests, done
+// channels, batches, launch records and Ctxs are all reused, so
+// EvaluateBatch allocates only its output slice and EvaluateBatchInto
+// nothing.
+func TestWarmRequestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not pinned under the race detector")
+	}
+	fn, par := llutSpec()
+	xs := stats.RandomInputs(-7.9, 7.9, 1024, 5)
+	e, err := New(Config{DPUs: 4, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	want, _, err := e.EvaluateBatch(fn, par, xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		if _, _, err := e.EvaluateBatch(fn, par, xs); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 1 {
+		t.Errorf("warm 1K EvaluateBatch: %.1f allocs, want 1 (the output)", avg)
+	}
+	dst := make([]float32, len(xs))
+	if avg := testing.AllocsPerRun(200, func() {
+		if _, err := e.EvaluateBatchInto(dst, "", fn, par, xs); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("warm 1K EvaluateBatchInto: %.1f allocs, want 0", avg)
+	}
+	for i := range want {
+		if math.Float32bits(dst[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("elem %d: EvaluateBatchInto %x, EvaluateBatch %x", i, math.Float32bits(dst[i]), math.Float32bits(want[i]))
+		}
 	}
 }

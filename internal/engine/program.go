@@ -98,13 +98,10 @@ func (e *Engine) EvaluateProgramTenant(tenant string, c *fusion.Compiled, inputs
 	if c.ScalarResult() {
 		outLen = 1
 	}
-	r := &request{
-		prog:     c,
-		pinputs:  inputs,
-		pscalars: scalars,
-		tenant:   tenant,
-		outputs:  make([]float32, outLen),
-	}
+	r := newRequest()
+	r.prog, r.pinputs, r.pscalars, r.tenant = c, inputs, scalars, tenant
+	r.outputs = make([]float32, outLen)
+	defer releaseRequest(r)
 	if err := e.roundTrip(r); err != nil {
 		return nil, ProgramStats{}, err
 	}

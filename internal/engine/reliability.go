@@ -363,12 +363,8 @@ func (e *Engine) launch(s *shard, b *batch, phi int, attempt uint64, lanes []int
 		}
 	}
 	s.launchIDs = ids
-	ex, base, fast := b.plan.ex, s.ids[0], !e.cfg.Reference
-	err = e.sys.LaunchShardSeq(b.seq, attempt, ids, func(ctx *pimsim.Ctx, id int) error {
-		ln := id - base
-		ex.RunLane(ctx, phi, s.chunkOf[ln], ln, s.arena[ln], fast)
-		return nil
-	})
+	s.ex, s.phase = b.plan.ex, phi
+	err = e.sys.LaunchShardSeq(b.seq, attempt, ids, s.kernel)
 	for j, k := range lanes {
 		d, cp := s.dpus[k], &s.cores[j]
 		now := d.Counters()
@@ -506,4 +502,13 @@ func (e *Engine) Health() []LaneHealth {
 		return nil
 	}
 	return e.health.Snapshot()
+}
+
+// runLane is a shard's launch kernel (bound once as s.kernel): it runs
+// the current phase of the launched plan on lane id's chunk, with the
+// lane's own classifier arena.
+func (s *shard) runLane(ctx *pimsim.Ctx, id int) error {
+	ln := id - s.ids[0]
+	s.ex.RunLane(ctx, s.phase, s.chunkOf[ln], ln, s.arena[ln], s.fast)
+	return nil
 }

@@ -11,8 +11,8 @@ import (
 // its shard runs it. It is allocated only when tracing is enabled
 // (batch.tr stays nil otherwise, so the disabled path never calls
 // time.Now on the shard goroutines). Every field is written by the
-// serving shard's goroutine before it closes the done channel of a
-// request the batch completes — the close is the happens-before edge,
+// serving shard's goroutine before it sends on the done channel of a
+// request the batch completes — the send is the happens-before edge,
 // so finishRequest reads a fully stamped struct.
 type batchTrace struct {
 	shard int
@@ -46,7 +46,7 @@ func buildTrace(r *request, id uint64, end time.Time, proc string) *telemetry.Tr
 	}
 	if r.prog != nil {
 		root.SetAttr("program", r.prog.Name())
-		root.SetAttr("method", "fused:"+r.prog.Name())
+		root.SetAttr("method", r.prog.MethodLabel())
 		root.SetAttr("phases", fmt.Sprint(r.prog.NumPhases()))
 		root.SetAttr("elements", fmt.Sprint(len(r.pinputs[0])))
 	} else {

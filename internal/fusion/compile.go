@@ -56,6 +56,7 @@ type phase struct {
 type Compiled struct {
 	id    uint64
 	name  string
+	label string // "fused:<name>", rendered once
 	par   core.Params
 	model pimsim.CostModel
 	fop   *core.FusedOperator
@@ -103,6 +104,7 @@ func Compile(p *Program, par core.Params, model pimsim.CostModel) (*Compiled, er
 	c := &Compiled{
 		id:         progIDs.Add(1),
 		name:       p.name,
+		label:      "fused:" + p.name,
 		par:        par,
 		model:      model,
 		fop:        core.NewFusedOperator(model),
@@ -360,6 +362,10 @@ func (c *Compiled) ID() uint64 { return c.id }
 
 // Name returns the program's label.
 func (c *Compiled) Name() string { return c.name }
+
+// MethodLabel returns "fused:<name>", the method label ledger rows,
+// profiles and traces report the program under.
+func (c *Compiled) MethodLabel() string { return c.label }
 
 // Params returns the normalized method parameters every Func node
 // evaluates under.

@@ -76,6 +76,11 @@ func (c Config) withDefaults() Config {
 //     counters, so it reads them before and after a launch and takes
 //     the difference (a CoreProfile per core). The engine's executor
 //     does this once per launch for every consumer.
+//   - Launch state is set up once, like the UPMEM host flow that
+//     allocates its DPUs before the populate → launch → read-back loop:
+//     each core owns one Ctx that every launch on it reuses, and each
+//     shard has one launch record, kept on its first core, that every
+//     launch of the shard reuses. A clean launch allocates nothing.
 type System struct {
 	cfg  Config
 	dpus []*DPU
@@ -125,8 +130,8 @@ func (s *System) DPU(i int) *DPU { return s.dpus[i] }
 func (s *System) DPUs() []*DPU { return s.dpus }
 
 // Launch runs kernel on every PIM core. Kernels for distinct cores run
-// concurrently on the host (bounded by GOMAXPROCS); each kernel sees
-// its own Ctx. Launch blocks until all kernels complete and returns the
+// concurrently on the host (bounded by GOMAXPROCS), each on its core's
+// one Ctx. Launch blocks until all kernels complete and returns the
 // first kernel error, if any.
 func (s *System) Launch(kernel func(ctx *Ctx, dpuID int) error) error {
 	ids := make([]int, len(s.dpus))
@@ -137,23 +142,89 @@ func (s *System) Launch(kernel func(ctx *Ctx, dpuID int) error) error {
 }
 
 // LaunchShard runs kernel on the listed PIM cores only — a rank-level
-// launch. Kernels for distinct cores run concurrently on the host
-// (bounded by GOMAXPROCS); each kernel sees its own Ctx. LaunchShard
-// blocks until all kernels complete and returns the first kernel
-// error, if any.
+// launch. Kernels for distinct cores run concurrently on the host on
+// up to GOMAXPROCS workers while the caller waits; each kernel runs on
+// its core's one Ctx, so it must not keep the Ctx past its return. The
+// launch's own state lives in the shard's launch record, kept on
+// ids[0]. LaunchShard blocks until all kernels complete and returns
+// the first kernel error, if any.
 //
 // LaunchShard may itself be called concurrently from several
 // goroutines as long as their shards are disjoint (see the System
-// ownership discipline): a core's memories and counters are touched
-// only by its own kernel.
+// ownership discipline): a core's memories, counters, Ctx and launch
+// record are touched only by its own launcher and kernel.
 func (s *System) LaunchShard(ids []int, kernel func(ctx *Ctx, dpuID int) error) error {
 	return s.launchShard(0, 0, ids, kernel)
 }
 
+// launchRec is one shard's launch state, reused by every launch whose
+// first core holds it, so a clean launch allocates nothing: the worker
+// func value is bound once, and the fault verdicts and the pre-launch
+// counter snapshots are re-sliced rather than reallocated. The
+// disjoint-shard rule makes the first core, and with it the record,
+// exclusive to one launcher at a time.
+type launchRec struct {
+	s      *System
+	ids    []int
+	kernel func(ctx *Ctx, dpuID int) error
+	work   func() // rec.run, bound once
+
+	wg   sync.WaitGroup
+	mu   sync.Mutex // guards next and err
+	next int
+	err  error
+
+	// faulty marks a launch with a fault agent installed; verdicts then
+	// holds one verdict per lane. preIssue/preDMA hold each lane's
+	// counters before the launch, taken when verdicts or attribution
+	// need them.
+	faulty           bool
+	verdicts         []LaunchVerdict
+	preIssue, preDMA []uint64
+}
+
+// run is a launch worker: it claims lanes until none are left and runs
+// each one's kernel on the core's own Ctx.
+func (r *launchRec) run() {
+	defer r.wg.Done()
+	for {
+		r.mu.Lock()
+		k := r.next
+		r.next++
+		r.mu.Unlock()
+		if k >= len(r.ids) {
+			return
+		}
+		if r.faulty && r.verdicts[k].Fail {
+			continue // injected hard failure: the kernel never runs
+		}
+		i := r.ids[k]
+		if e := r.kernel(r.s.dpus[i].ctx, i); e != nil {
+			r.mu.Lock()
+			if r.err == nil {
+				r.err = fmt.Errorf("pimsim: dpu %d: %w", i, e)
+			}
+			r.mu.Unlock()
+		}
+	}
+}
+
 // launchShard is the shared implementation behind LaunchShard and
-// LaunchShardSeq: the worker pool plus the optional fault-agent
-// consultation and cycle attribution.
+// LaunchShardSeq: up to GOMAXPROCS workers draining the lanes while the
+// launching goroutine waits, plus the optional fault-agent consultation
+// and cycle attribution.
 func (s *System) launchShard(seq, attempt uint64, ids []int, kernel func(ctx *Ctx, dpuID int) error) error {
+	if len(ids) == 0 {
+		return nil
+	}
+	first := s.dpus[ids[0]]
+	r := first.launch
+	if r == nil {
+		r = &launchRec{s: s}
+		r.work = r.run
+		first.launch = r
+	}
+	r.ids, r.kernel, r.next, r.err = ids, kernel, 0, nil
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(ids) {
 		workers = len(ids)
@@ -164,76 +235,38 @@ func (s *System) launchShard(seq, attempt uint64, ids []int, kernel func(ctx *Ct
 	// have their cycle delta scaled after the kernels finish.
 	agent := s.loadFaultAgent()
 	attrib := s.attribOn.Load()
-	var verdicts []LaunchVerdict
-	var preIssue, preDMA []uint64
-	if agent != nil {
-		verdicts = make([]LaunchVerdict, len(ids))
-		preIssue = make([]uint64, len(ids))
-		preDMA = make([]uint64, len(ids))
-		for k := range ids {
-			verdicts[k] = agent.Launch(seq, attempt, k)
-			d := s.dpus[ids[k]]
-			preIssue[k] = d.issueCycles
-			preDMA[k] = d.dmaCycles
-		}
-	} else if attrib {
-		// Attribution needs the same pre-launch snapshots the fault agent
-		// takes; allocate them only on this (enabled) path.
-		preIssue = make([]uint64, len(ids))
-		preDMA = make([]uint64, len(ids))
-		for k := range ids {
-			d := s.dpus[ids[k]]
-			preIssue[k] = d.issueCycles
-			preDMA[k] = d.dmaCycles
-		}
-	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		err  error
-		next int
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				k := next
-				next++
-				mu.Unlock()
-				if k >= len(ids) {
-					return
-				}
-				if verdicts != nil && verdicts[k].Fail {
-					continue // injected hard failure: the kernel never runs
-				}
-				i := ids[k]
-				if e := kernel(s.dpus[i].NewCtx(), i); e != nil {
-					mu.Lock()
-					if err == nil {
-						err = fmt.Errorf("pimsim: dpu %d: %w", i, e)
-					}
-					mu.Unlock()
-				}
+	r.faulty = agent != nil
+	if r.faulty || attrib {
+		r.verdicts = r.verdicts[:0]
+		r.preIssue, r.preDMA = r.preIssue[:0], r.preDMA[:0]
+		for k, id := range ids {
+			if r.faulty {
+				r.verdicts = append(r.verdicts, agent.Launch(seq, attempt, k))
 			}
-		}()
+			d := s.dpus[id]
+			r.preIssue = append(r.preIssue, d.issueCycles)
+			r.preDMA = append(r.preDMA, d.dmaCycles)
+		}
 	}
-	wg.Wait()
+	r.wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go r.work()
+	}
+	r.wg.Wait()
 	// Apply the straggler verdicts, so the counters a caller reads after
 	// the launch hold the slowed (modeled) cycles, and collect the lanes
 	// that suffered injected hard failures.
 	var failed []int
-	if agent != nil {
-		for k, v := range verdicts {
+	if r.faulty {
+		for k, v := range r.verdicts {
 			if v.Fail {
 				failed = append(failed, k)
 				continue
 			}
 			if v.SlowFactor > 1 {
 				d := s.dpus[ids[k]]
-				d.issueCycles = preIssue[k] + uint64(float64(d.issueCycles-preIssue[k])*v.SlowFactor)
-				d.dmaCycles = preDMA[k] + uint64(float64(d.dmaCycles-preDMA[k])*v.SlowFactor)
+				d.issueCycles = r.preIssue[k] + uint64(float64(d.issueCycles-r.preIssue[k])*v.SlowFactor)
+				d.dmaCycles = r.preDMA[k] + uint64(float64(d.dmaCycles-r.preDMA[k])*v.SlowFactor)
 			}
 		}
 	}
@@ -244,13 +277,15 @@ func (s *System) launchShard(seq, attempt uint64, ids []int, kernel func(ctx *Ct
 		var worst uint64
 		for k, i := range ids {
 			d := s.dpus[i]
-			c := ClosedFormCycles(d.issueCycles-preIssue[k], d.dmaCycles-preDMA[k], d.tasklets)
+			c := ClosedFormCycles(d.issueCycles-r.preIssue[k], d.dmaCycles-r.preDMA[k], d.tasklets)
 			if c > worst {
 				worst = c
 			}
 		}
 		s.attribCycles.Add(worst)
 	}
+	err := r.err
+	r.ids, r.kernel, r.err = nil, nil, nil // retain nothing of the caller's past the launch
 	if err != nil {
 		return err // a genuine kernel error outranks injected failures
 	}

@@ -192,16 +192,37 @@ func (h *Histogram) ObserveExemplar(v float64, labels string) {
 			set = fresh
 		}
 	}
-	ex := &Exemplar{Value: v, Labels: labels}
+	var ex *Exemplar // built only once the slot would take it
 	for {
 		cur := set.slots[i].Load()
 		if cur != nil && cur.Value > v {
 			return
 		}
+		if ex == nil {
+			ex = &Exemplar{Value: v, Labels: labels}
+		}
 		if set.slots[i].CompareAndSwap(cur, ex) {
 			return
 		}
 	}
+}
+
+// KeepsExemplar reports whether ObserveExemplar(v, …) would retain its
+// exemplar now: v's bucket holds none, or one no worse than v. Callers
+// that render exemplar labels check it first and call plain Observe
+// otherwise, so a value that beats no retained exemplar costs no
+// allocation. A concurrent writer can only turn the answer to false,
+// which ObserveExemplar rechecks.
+func (h *Histogram) KeepsExemplar(v float64) bool {
+	if h == nil {
+		return false
+	}
+	set := h.exemplars.Load()
+	if set == nil {
+		return true
+	}
+	cur := set.slots[h.bucketOf(v)].Load()
+	return cur == nil || !(cur.Value > v)
 }
 
 // HistogramSnapshot is a point-in-time view of a histogram.
